@@ -284,22 +284,6 @@ impl Cfg {
         }
     }
 
-    /// A copy of this graph with extra `from → to` edges wired in —
-    /// used to materialize statically resolved indirect transfers so
-    /// downstream dataflow (liveness refinement) can follow them.
-    pub fn with_extra_edges(&self, edges: &[(BlockId, BlockId)]) -> Cfg {
-        let mut cfg = self.clone();
-        for &(from, to) in edges {
-            if !cfg.blocks[from].succs.contains(&to) {
-                cfg.blocks[from].succs.push(to);
-            }
-            if !cfg.blocks[to].preds.contains(&from) {
-                cfg.blocks[to].preds.push(from);
-            }
-        }
-        cfg
-    }
-
     /// Blocks reachable from [`Cfg::roots`].
     pub fn reachable(&self) -> Vec<bool> {
         let mut seen = vec![false; self.blocks.len()];

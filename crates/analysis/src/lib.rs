@@ -33,9 +33,8 @@
 //! - [`loops`] — natural loops and per-block nesting depth from
 //!   dominator back edges.
 //! - [`smc`] — pages both written and executed (self-modifying code).
-//! - [`plan`] — the [`plan::ProgramAnalysis`] aggregate, the
-//!   ahead-of-time [`plan::SuperblockPlan`] the DBI engine consumes,
-//!   and the [`plan::SoundnessOracle`] that cross-validates dynamic
+//! - [`program`] — the [`program::ProgramAnalysis`] aggregate and the
+//!   [`program::SoundnessOracle`] that cross-validates dynamic
 //!   execution against the static results in debug builds.
 //!
 //! Everything works on [`superpin_isa::Program`] values — no VM or
@@ -52,7 +51,7 @@ pub mod dom;
 pub mod lint;
 pub mod liveness;
 pub mod loops;
-pub mod plan;
+pub mod program;
 pub mod reaching;
 pub mod regset;
 pub mod smc;
@@ -65,7 +64,7 @@ pub use dom::Dominators;
 pub use lint::{run_lints, run_whole_program_lints, Finding, LintKind, LintReport, Severity};
 pub use liveness::{inst_defs, inst_uses, kernel_syscall_uses, syscall_uses, LiveMap, Liveness};
 pub use loops::{LoopNest, NaturalLoop};
-pub use plan::{OracleViolation, PlanKnobs, ProgramAnalysis, SoundnessOracle, SuperblockPlan};
+pub use program::{OracleViolation, ProgramAnalysis, SoundnessOracle};
 pub use reaching::{loader_defined, DefSite, ReachingDefs};
 pub use regset::RegSet;
 pub use smc::SmcRegions;

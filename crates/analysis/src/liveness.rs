@@ -20,7 +20,7 @@
 //! matters for save/restore elision — without it, any `exit` path
 //! keeps `r2`–`r5` artificially live throughout the program.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use superpin_isa::{Inst, Program, Reg};
 
@@ -81,17 +81,9 @@ pub fn syscall_uses(block_insts: &[(u64, Inst)], idx: usize) -> RegSet {
 
 /// [`inst_uses`] with block context: `syscall` reads are narrowed to
 /// the resolved syscall's argument window (see [`syscall_uses`]).
-///
-/// When `resolved_tail` is set, the block's terminating `jalr` is
-/// known to transfer only to statically resolved targets whose
-/// live-in flows through CFG edges instead, so it reads only its
-/// actual source register rather than the conservative full set.
-fn inst_uses_at(block_insts: &[(u64, Inst)], idx: usize, resolved_tail: bool) -> RegSet {
+fn inst_uses_at(block_insts: &[(u64, Inst)], idx: usize) -> RegSet {
     match block_insts[idx].1 {
         Inst::Syscall => syscall_uses(block_insts, idx),
-        inst @ Inst::Jalr { .. } if resolved_tail && idx == block_insts.len() - 1 => {
-            RegSet::from_regs(&inst.src_regs())
-        }
         inst => inst_uses(inst),
     }
 }
@@ -108,22 +100,10 @@ pub fn inst_defs(inst: Inst) -> RegSet {
     defs
 }
 
-/// Backward liveness, optionally refined by a set of blocks whose
-/// indirect terminators are statically resolved. A resolved block
-/// loses its conservative all-live boundary — its live-out comes from
-/// the (augmented) CFG edges to the resolved targets — and its `jalr`
-/// reads only its source register.
-struct LivenessProblem<'r> {
-    resolved_indirect: Option<&'r BTreeSet<BlockId>>,
-}
+/// Backward liveness.
+struct LivenessProblem;
 
-impl LivenessProblem<'_> {
-    fn is_resolved(&self, block: BlockId) -> bool {
-        self.resolved_indirect.is_some_and(|s| s.contains(&block))
-    }
-}
-
-impl Problem for LivenessProblem<'_> {
+impl Problem for LivenessProblem {
     type Fact = RegSet;
 
     fn direction(&self) -> Direction {
@@ -136,13 +116,6 @@ impl Problem for LivenessProblem<'_> {
 
     fn boundary(&self, cfg: &Cfg, block: BlockId) -> Option<RegSet> {
         match cfg.blocks()[block].terminator {
-            // A resolved indirect terminator's live-out flows through
-            // the augmented CFG edges to its static targets.
-            Terminator::IndirectJump | Terminator::IndirectCall { .. }
-                if self.is_resolved(block) =>
-            {
-                None
-            }
             // Control leaves the graph for an unknown destination (or
             // a callee that will return): anything may be read next.
             Terminator::IndirectJump | Terminator::IndirectCall { .. } | Terminator::FallOffEnd => {
@@ -158,10 +131,9 @@ impl Problem for LivenessProblem<'_> {
 
     fn transfer(&self, cfg: &Cfg, block: BlockId, live_out: &RegSet) -> RegSet {
         let insts = &cfg.blocks()[block].insts;
-        let resolved = self.is_resolved(block);
         let mut live = *live_out;
         for idx in (0..insts.len()).rev() {
-            live = inst_uses_at(insts, idx, resolved).union(live.minus(inst_defs(insts[idx].1)));
+            live = inst_uses_at(insts, idx).union(live.minus(inst_defs(insts[idx].1)));
         }
         live
     }
@@ -177,27 +149,7 @@ impl Liveness {
     /// Solves liveness over `cfg`.
     pub fn compute(cfg: &Cfg) -> Liveness {
         Liveness {
-            solution: solve(
-                cfg,
-                &LivenessProblem {
-                    resolved_indirect: None,
-                },
-            ),
-        }
-    }
-
-    /// Solves liveness with resolved-indirect refinement: blocks in
-    /// `resolved` lose the all-live indirect boundary. `cfg` must
-    /// already carry the resolved indirect edges (see
-    /// [`Cfg::with_extra_edges`]) or the result is unsound.
-    pub fn compute_refined(cfg: &Cfg, resolved: &BTreeSet<BlockId>) -> Liveness {
-        Liveness {
-            solution: solve(
-                cfg,
-                &LivenessProblem {
-                    resolved_indirect: Some(resolved),
-                },
-            ),
+            solution: solve(cfg, &LivenessProblem),
         }
     }
 
@@ -228,26 +180,15 @@ pub struct LiveMap {
 impl LiveMap {
     /// Builds the per-instruction map from a solved CFG.
     pub fn from_cfg(cfg: &Cfg) -> LiveMap {
-        LiveMap::from_liveness(cfg, &Liveness::compute(cfg), &BTreeSet::new())
-    }
-
-    /// Builds the per-instruction map with resolved-indirect
-    /// refinement (see [`Liveness::compute_refined`]).
-    pub fn from_cfg_refined(cfg: &Cfg, resolved: &BTreeSet<BlockId>) -> LiveMap {
-        LiveMap::from_liveness(cfg, &Liveness::compute_refined(cfg, resolved), resolved)
-    }
-
-    fn from_liveness(cfg: &Cfg, liveness: &Liveness, resolved: &BTreeSet<BlockId>) -> LiveMap {
+        let liveness = Liveness::compute(cfg);
         let mut before = HashMap::new();
         let mut after = HashMap::new();
         for (id, block) in cfg.blocks().iter().enumerate() {
-            let resolved_tail = resolved.contains(&id);
             let mut live = liveness.live_out(id);
             for idx in (0..block.insts.len()).rev() {
                 let (addr, inst) = block.insts[idx];
                 after.insert(addr, live);
-                live = inst_uses_at(&block.insts, idx, resolved_tail)
-                    .union(live.minus(inst_defs(inst)));
+                live = inst_uses_at(&block.insts, idx).union(live.minus(inst_defs(inst)));
                 before.insert(addr, live);
             }
         }

@@ -5,9 +5,9 @@
 //! block that reaches `u` backwards without passing through `v`.
 //! Loops sharing a header are merged. A block's nesting depth is the
 //! number of distinct loop headers whose loop contains it — the static
-//! hotness signal the superblock planner keys on. Irreducible regions
-//! (multi-entry cycles) produce no back edge and simply keep depth 0;
-//! they are tolerated, not misclassified.
+//! hotness signal the `smc-overlaps-hot-loop` lint keys on. Irreducible
+//! regions (multi-entry cycles) produce no back edge and simply keep
+//! depth 0; they are tolerated, not misclassified.
 
 use std::collections::BTreeMap;
 

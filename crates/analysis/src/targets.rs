@@ -40,7 +40,7 @@
 //!
 //! Two documented assumptions keep the analysis decidable (both are
 //! cross-validated at runtime by the soundness oracle in
-//! [`crate::plan`]):
+//! [`crate::program`]):
 //!
 //! 1. **Allocation regions** (classic value-set analysis): a widened
 //!    store whose base lands inside a named data/bss symbol stays

@@ -1,10 +1,10 @@
 //! Whole-program analysis: indirect-target resolution against the
 //! generator's ground-truth dispatch tables, call-graph recovery,
-//! loop nesting, SMC detection, and superblock planning.
+//! loop nesting, and SMC detection.
 
 use std::collections::BTreeSet;
 
-use superpin_analysis::{Cfg, PlanKnobs, ProgramAnalysis, TargetSet, Terminator};
+use superpin_analysis::{ProgramAnalysis, TargetSet, Terminator};
 use superpin_isa::{Inst, ProgramBuilder, Reg};
 use superpin_workloads::{catalog, meta, Scale};
 
@@ -207,68 +207,4 @@ fn smc_flagged_when_code_is_written() {
     );
     let patch = program.symbol("patch").expect("symbol").addr;
     assert!(analysis.smc.covers(patch, 8));
-}
-
-/// Planning: hot entries come from loop depth, respect the threshold
-/// and trace-length knobs, and the plan pre-decodes the reachable
-/// instruction stream.
-#[test]
-fn plan_hot_entries_follow_knobs() {
-    let spec = superpin_workloads::find("art").expect("art in catalog");
-    let program = spec.build(Scale::Tiny);
-    let analysis = ProgramAnalysis::compute(&program).expect("analysis");
-
-    let plan = analysis.plan(PlanKnobs::default());
-    assert!(plan.num_hot() > 0, "workload main loop should be hot");
-    assert!(plan.num_decoded() > 0);
-    // Every decoded entry must agree with a fresh decode of the program.
-    let cfg = Cfg::build(&program).expect("cfg");
-    for block in cfg.blocks() {
-        for &(addr, inst) in &block.insts {
-            assert_eq!(plan.lookup(addr), Some((inst, inst.size_bytes())));
-        }
-    }
-
-    // An impossible threshold empties the hot set; max_trace_len 0
-    // filters every entry too.
-    let cold = analysis.plan(PlanKnobs {
-        hot_loop_threshold: u32::MAX,
-        max_trace_len: 96,
-    });
-    assert_eq!(cold.num_hot(), 0);
-    let tiny = analysis.plan(PlanKnobs {
-        hot_loop_threshold: 1,
-        max_trace_len: 0,
-    });
-    assert_eq!(tiny.num_hot(), 0);
-}
-
-/// The refined interprocedural liveness must elide the dispatch-site
-/// save/restores: at a resolved `jalr` call whose callees never read
-/// the analysis-clobbered registers, those registers are dead.
-#[test]
-fn refined_liveness_kills_clobbers_at_dispatch() {
-    let spec = superpin_workloads::find("gcc").expect("gcc in catalog");
-    let program = spec.build(Scale::Tiny);
-    let analysis = ProgramAnalysis::compute(&program).expect("analysis");
-    let refined = analysis.refined_liveness();
-    let conservative = superpin_analysis::LiveMap::compute(&program).expect("liveness");
-
-    let mut improved = 0usize;
-    for block in analysis.cfg.blocks() {
-        if !matches!(block.terminator, Terminator::IndirectCall { .. }) {
-            continue;
-        }
-        let site = block.insts.last().expect("non-empty").0;
-        let cons = conservative.live_before(site);
-        let refd = refined.live_before(site);
-        assert!(
-            refd.is_subset_of(cons),
-            "refined liveness grew at {site:#x}"
-        );
-        if refd.len() < cons.len() {
-            improved += 1;
-        }
-    }
-    assert!(improved > 0, "refinement never improved a dispatch site");
 }

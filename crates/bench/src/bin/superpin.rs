@@ -36,12 +36,8 @@
 //! superpin --chaos-seed 1 --chaos-rate 0.05 -threads 4 -t icount1 -- gcc tiny
 //! ```
 
-use std::sync::Arc;
-
 use superpin::baseline::run_pin;
-use superpin::{
-    FailPlan, PlanKnobs, ProgramAnalysis, SharedMem, SuperPinConfig, SuperPinRunner, SuperTool,
-};
+use superpin::{FailPlan, SharedMem, SuperPinConfig, SuperPinRunner, SuperTool};
 use superpin_bench::runs::time_scale_for;
 use superpin_tools::{
     BranchProfile, DCache, DCacheConfig, ICount1, ICount2, ITrace, MemProfile, Sampler,
@@ -61,8 +57,6 @@ struct Options {
     chaos_rate: Option<f64>,
     watchdog_factor: u64,
     mem_budget: Option<u64>,
-    plan: bool,
-    plan_knobs: PlanKnobs,
     emit_json: Option<String>,
     tag: Option<String>,
     perf_guard: Option<(String, String)>,
@@ -132,7 +126,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: superpin [-sp 0|1] [-spmsec MSEC] [-spmp N] [-spsysrecs N] [-threads N] [-gantt] \
          [--chaos-seed N] [--chaos-rate F] [--watchdog-factor K] [--mem-budget BYTES[k|m|g]] \
-         [--plan on|off] [--hot-loop-threshold N] [--max-trace-len N] \
          -t TOOL -- BENCHMARK [tiny|small|medium|large]\n\
          \x20      superpin --emit-json [PATH] [--tag KEY] [--scale tiny|small|medium|large] \
          [--mem-budget BYTES[k|m|g]]\n\
@@ -181,8 +174,6 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
         chaos_rate: None,
         watchdog_factor: 8,
         mem_budget: None,
-        plan: false,
-        plan_knobs: PlanKnobs::default(),
         emit_json: None,
         tag: None,
         perf_guard: None,
@@ -239,28 +230,6 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
                     return Err(ArgError::WatchdogFactorTooSmall(factor));
                 }
                 options.watchdog_factor = factor;
-            }
-            "--plan" => {
-                let v = iter.next().ok_or(ArgError::MissingValue("--plan"))?;
-                options.plan = match v.as_str() {
-                    "on" | "1" => true,
-                    "off" | "0" => false,
-                    other => {
-                        return Err(ArgError::InvalidValue {
-                            flag: "--plan",
-                            value: other.to_owned(),
-                            expected: "on|off",
-                        })
-                    }
-                };
-            }
-            "--hot-loop-threshold" => {
-                options.plan_knobs.hot_loop_threshold =
-                    value(&mut iter, "--hot-loop-threshold", "a loop nesting depth")?;
-            }
-            "--max-trace-len" => {
-                options.plan_knobs.max_trace_len =
-                    value(&mut iter, "--max-trace-len", "an instruction count")?;
             }
             "--mem-budget" => {
                 let text = iter.next().ok_or(ArgError::MissingValue("--mem-budget"))?;
@@ -356,30 +325,13 @@ fn superpin_config(options: &Options) -> SuperPinConfig {
     cfg
 }
 
-/// [`superpin_config`] plus the program-specific whole-program plan and
-/// soundness oracle when `--plan on`: slice engines pre-decode
-/// predicted-hot traces and elide provably dead save/restores, and
-/// (debug builds) every indirect transfer and code write is validated
-/// against the static analysis. Reports are bit-identical to
-/// `--plan off`.
-fn superpin_config_for(program: &superpin_isa::Program, options: &Options) -> SuperPinConfig {
-    let mut cfg = superpin_config(options);
-    if options.plan {
-        let analysis = ProgramAnalysis::compute(program).expect("whole-program analysis");
-        cfg = cfg
-            .with_plan(Arc::new(analysis.plan(options.plan_knobs)))
-            .with_oracle(Arc::new(analysis.oracle()));
-    }
-    cfg
-}
-
 fn run_super<T: SuperTool>(
     program: &superpin_isa::Program,
     tool: T,
     shared: &SharedMem,
     options: &Options,
 ) -> superpin::SuperPinReport {
-    let cfg = superpin_config_for(program, options);
+    let cfg = superpin_config(options);
     let present = cfg.clone();
     let report = SuperPinRunner::new(
         Process::load(1, program).expect("load"),
@@ -444,7 +396,7 @@ fn history_key(options: &Options) -> String {
         .unwrap_or_else(|| "untagged".to_owned())
 }
 
-/// `--perf-guard FRESH BASELINE`: compare geomean plan-off throughput
+/// `--perf-guard FRESH BASELINE`: compare geomean throughput
 /// in a fresh `--emit-json` file against a checked-in baseline snapshot
 /// and fail (exit 1) on a >10% regression. Runs no simulation itself,
 /// so CI can reuse the tracker output it just produced.
@@ -582,7 +534,7 @@ fn main() {
             let shared = SharedMem::new();
             let tool = ICount1::new(&shared);
             if options.sp {
-                let cfg = superpin_config_for(&program, &options);
+                let cfg = superpin_config(&options);
                 SuperPinRunner::new(
                     Process::load(1, &program).expect("load"),
                     tool.clone(),
@@ -885,28 +837,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_flags_parse() {
-        let options = parse_options(&args(&[
-            "--plan",
-            "on",
-            "--hot-loop-threshold",
-            "2",
-            "--max-trace-len",
-            "32",
-            "-t",
-            "icount2",
-            "--",
-            "gcc",
-        ]))
-        .expect("parse");
-        assert!(options.plan);
-        assert_eq!(options.plan_knobs.hot_loop_threshold, 2);
-        assert_eq!(options.plan_knobs.max_trace_len, 32);
-        let defaults = parse_options(&args(&["-t", "icount2", "--", "gcc"])).expect("parse");
-        assert!(!defaults.plan);
-        assert_eq!(defaults.plan_knobs, PlanKnobs::default());
-        assert!(
-            parse_options(&args(&["--plan", "sideways", "-t", "icount2", "--", "gcc"])).is_err()
+    fn plan_flag_is_unknown() {
+        assert_eq!(
+            parse_options(&args(&["--plan", "on", "-t", "icount2", "--", "gcc"])),
+            Err(ArgError::UnknownFlag("--plan".to_owned()))
         );
     }
 

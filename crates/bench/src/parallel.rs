@@ -29,11 +29,8 @@
 
 use crate::runs::{run_superpin_profiled, run_superpin_recorded, time_scale_for};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
-use superpin::{
-    HostProfile, PlanKnobs, ProgramAnalysis, SharedMem, SuperPinConfig, SuperPinReport,
-};
+use superpin::{HostProfile, SharedMem, SuperPinConfig, SuperPinReport};
 // The hand-rolled JSON readers this module grew for the tracking file's
 // history merge now live in `superpin-replay`'s shared `json` module
 // (replay verification needs the same parsing); re-exported so existing
@@ -77,11 +74,6 @@ pub struct ParallelRow {
     /// supervisor armed (checkpoints + journals) and chaos disabled —
     /// the recovery machinery's idle cost.
     pub wall_ms_supervised: f64,
-    /// Wall-clock milliseconds at `threads = 1` with the ahead-of-time
-    /// superblock plan installed (default knobs, no oracle). The
-    /// simulated report is bit-identical to the plan-off run — only
-    /// host wall-clock may differ.
-    pub wall_ms_planned: f64,
     /// Wall-clock milliseconds at `threads = 1` with a run recorder
     /// attached streaming the nondeterministic surface into memory —
     /// the cost of always-on record/replay. The simulated report is
@@ -120,21 +112,10 @@ impl ParallelRow {
         self.wall_ms_supervised / self.wall_ms_serial.max(1e-9)
     }
 
-    /// Plan-on over plan-off wall-clock ratio at `threads = 1` (>1.0
-    /// means the ahead-of-time superblock plan saved host time).
-    pub fn speedup_planned(&self) -> f64 {
-        self.wall_ms_serial / self.wall_ms_planned.max(1e-9)
-    }
-
-    /// Interpreter throughput without a plan, in millions of simulated
-    /// cycles retired per wall-clock second at `threads = 1`.
+    /// Interpreter throughput in millions of simulated cycles retired
+    /// per wall-clock second at `threads = 1`.
     pub fn throughput_mcps(&self) -> f64 {
         self.simulated_cycles as f64 / 1e3 / self.wall_ms_serial.max(1e-9)
-    }
-
-    /// Interpreter throughput with the superblock plan installed.
-    pub fn throughput_mcps_planned(&self) -> f64 {
-        self.simulated_cycles as f64 / 1e3 / self.wall_ms_planned.max(1e-9)
     }
 
     /// Recorded-over-plain wall-clock ratio at `threads = 1` — the cost
@@ -153,20 +134,17 @@ pub fn bench_config(scale: Scale) -> SuperPinConfig {
 }
 
 /// Timing repetitions per configuration; the row records the *minimum*
-/// wall clock. One-shot timing let a single scheduler hiccup in the
-/// plan-off run invert the throughput columns (planned < unplanned on a
-/// run where the plan can only remove work); the min over three runs is
-/// the standard estimator for the noise-free cost of deterministic work.
+/// wall clock. One-shot timing let a single scheduler hiccup invert the
+/// overhead ratios; the min over three runs is the standard estimator
+/// for the noise-free cost of deterministic work.
 const TIMING_RUNS: usize = 3;
 
-#[allow(clippy::too_many_arguments)]
 fn timed_run(
     program: &superpin_isa::Program,
     scale: Scale,
     threads: usize,
     supervise: bool,
     mem_budget: Option<u64>,
-    plan: Option<&ProgramAnalysis>,
     record: bool,
     name: &str,
 ) -> (f64, SuperPinReport, HostProfile) {
@@ -180,9 +158,6 @@ fn timed_run(
         }
         if let Some(budget) = mem_budget {
             cfg = cfg.with_mem_budget(budget);
-        }
-        if let Some(analysis) = plan {
-            cfg = cfg.with_plan(Arc::new(analysis.plan(PlanKnobs::default())));
         }
         let start = Instant::now();
         let (report, profile) = if record {
@@ -223,35 +198,21 @@ pub fn run_parallel_bench(
         .map(|name| {
             let spec = find(name).unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
             let program = spec.build(scale);
-            let analysis = ProgramAnalysis::compute(&program)
-                .unwrap_or_else(|e| panic!("{name} whole-program analysis: {e}"));
-            let (wall_ms_serial, serial, profile) = timed_run(
-                &program, scale, 1, false, mem_budget, None, false, spec.name,
-            );
+            let (wall_ms_serial, serial, profile) =
+                timed_run(&program, scale, 1, false, mem_budget, false, spec.name);
             let (wall_ms_parallel, parallel, _) = timed_run(
                 &program,
                 scale,
                 PARALLEL_THREADS,
                 false,
                 mem_budget,
-                None,
                 false,
                 spec.name,
             );
             let (wall_ms_supervised, supervised, _) =
-                timed_run(&program, scale, 1, true, mem_budget, None, false, spec.name);
-            let (wall_ms_planned, planned, _) = timed_run(
-                &program,
-                scale,
-                1,
-                false,
-                mem_budget,
-                Some(&analysis),
-                false,
-                spec.name,
-            );
+                timed_run(&program, scale, 1, true, mem_budget, false, spec.name);
             let (wall_ms_recorded, recorded, _) =
-                timed_run(&program, scale, 1, false, mem_budget, None, true, spec.name);
+                timed_run(&program, scale, 1, false, mem_budget, true, spec.name);
             ParallelRow {
                 name: spec.name,
                 slices: serial.slice_count(),
@@ -260,7 +221,6 @@ pub fn run_parallel_bench(
                 wall_ms_serial,
                 wall_ms_parallel,
                 wall_ms_supervised,
-                wall_ms_planned,
                 wall_ms_recorded,
                 slice_fraction: profile.slice_fraction(),
                 modeled_speedup: profile.modeled_speedup(PARALLEL_THREADS),
@@ -271,11 +231,10 @@ pub fn run_parallel_bench(
                 // Thread-count invariance must hold budgeted or not; the
                 // supervised run only joins the comparison unbudgeted,
                 // because retained checkpoints are *charged* bytes and
-                // legitimately shift governed admission decisions. The
-                // plan is a pure accelerator, so plan-on must match
-                // unconditionally, as must recording (a pure observer).
+                // legitimately shift governed admission decisions.
+                // Recording is a pure observer, so it must match
+                // unconditionally.
                 identical: serial == parallel
-                    && serial == planned
                     && serial == recorded
                     && (mem_budget.is_some() || serial == supervised),
             }
@@ -312,24 +271,10 @@ pub fn geomean_record_overhead(rows: &[ParallelRow]) -> f64 {
     geomean(rows.iter().map(ParallelRow::record_overhead))
 }
 
-/// Geometric-mean plan-on over plan-off wall-clock speedup at
-/// `threads = 1` (>1.0 means the superblock plan saved host time).
-pub fn geomean_plan_speedup(rows: &[ParallelRow]) -> f64 {
-    geomean(
-        rows.iter()
-            .map(|row| row.wall_ms_serial / row.wall_ms_planned.max(1e-9)),
-    )
-}
-
-/// Geometric-mean plan-off interpreter throughput in Mcyc/s — the
-/// headline number the CI perf guard compares against its baseline.
+/// Geometric-mean interpreter throughput in Mcyc/s — the headline
+/// number the CI perf guard compares against its baseline.
 pub fn geomean_throughput_mcps(rows: &[ParallelRow]) -> f64 {
     geomean(rows.iter().map(ParallelRow::throughput_mcps))
-}
-
-/// Geometric-mean plan-on interpreter throughput in Mcyc/s.
-pub fn geomean_throughput_mcps_planned(rows: &[ParallelRow]) -> f64 {
-    geomean(rows.iter().map(ParallelRow::throughput_mcps_planned))
 }
 
 /// Serializes the comparison as the `BENCH_parallel.json` tracking
@@ -352,8 +297,7 @@ pub fn parallel_to_json(scale: Scale, rows: &[ParallelRow]) -> String {
              \"wall_ms_threads1\":{:.2},\"wall_ms_threads{}\":{:.2},\
              \"wall_ms_supervised\":{:.2},\"supervisor_overhead\":{:.3},\
              \"wall_ms_recorded\":{:.2},\"record_overhead\":{:.3},\
-             \"wall_ms_planned\":{:.2},\"throughput_mcps\":{:.3},\
-             \"throughput_mcps_planned\":{:.3},\
+             \"throughput_mcps\":{:.3},\
              \"speedup\":{:.3},\"slice_fraction\":{:.3},\
              \"modeled_speedup_threads{}\":{:.3},\
              \"peak_resident_bytes\":{},\"slices_deferred\":{},\
@@ -369,9 +313,7 @@ pub fn parallel_to_json(scale: Scale, rows: &[ParallelRow]) -> String {
             row.supervisor_overhead(),
             row.wall_ms_recorded,
             row.record_overhead(),
-            row.wall_ms_planned,
             row.throughput_mcps(),
-            row.throughput_mcps_planned(),
             row.speedup(),
             row.slice_fraction,
             PARALLEL_THREADS,
@@ -387,16 +329,13 @@ pub fn parallel_to_json(scale: Scale, rows: &[ParallelRow]) -> String {
         out,
         "],\"geomean_speedup\":{:.3},\"max_speedup\":{:.3},\"geomean_modeled_speedup\":{:.3},\
          \"geomean_supervisor_overhead\":{:.3},\"geomean_record_overhead\":{:.3},\
-         \"geomean_plan_speedup\":{:.3},\
-         \"geomean_throughput_mcps\":{:.3},\"geomean_throughput_mcps_planned\":{:.3}}}",
+         \"geomean_throughput_mcps\":{:.3}}}",
         geomean_speedup(rows),
         rows.iter().map(ParallelRow::speedup).fold(0.0, f64::max),
         geomean_modeled_speedup(rows),
         geomean_supervisor_overhead(rows),
         geomean_record_overhead(rows),
-        geomean_plan_speedup(rows),
         geomean_throughput_mcps(rows),
-        geomean_throughput_mcps_planned(rows),
     );
     out
 }
@@ -406,6 +345,8 @@ pub fn parallel_to_json(scale: Scale, rows: &[ParallelRow]) -> String {
 /// the tracking file accumulates a perf trajectory across PRs instead
 /// of clobbering it. Entries are keyed (git SHA or `--tag`); re-running
 /// under the same key replaces that entry rather than duplicating it.
+/// Old entries are carried over verbatim, including columns this build
+/// no longer emits.
 pub fn parallel_to_json_with_history(
     scale: Scale,
     rows: &[ParallelRow],
@@ -417,12 +358,9 @@ pub fn parallel_to_json_with_history(
     debug_assert_eq!(closing, Some('}'));
     let entry = format!(
         "{{\"key\":\"{key}\",\"scale\":\"{scale:?}\",\"geomean_speedup\":{:.3},\
-         \"geomean_plan_speedup\":{:.3},\"geomean_throughput_mcps\":{:.3},\
-         \"geomean_throughput_mcps_planned\":{:.3}}}",
+         \"geomean_throughput_mcps\":{:.3}}}",
         geomean_speedup(rows),
-        geomean_plan_speedup(rows),
         geomean_throughput_mcps(rows),
-        geomean_throughput_mcps_planned(rows),
     );
     out.push_str(",\"history\":[");
     let mut first = true;
@@ -503,10 +441,8 @@ pub fn render_parallel(rows: &[ParallelRow]) -> String {
     );
     let _ = writeln!(
         out,
-        "superblock plan (threads=1): {:.2}x geomean wall-clock speedup; throughput {:.1} -> {:.1} Mcyc/s geomean",
-        geomean_plan_speedup(rows),
-        geomean(rows.iter().map(ParallelRow::throughput_mcps)),
-        geomean(rows.iter().map(ParallelRow::throughput_mcps_planned)),
+        "throughput (threads=1): {:.1} Mcyc/s geomean",
+        geomean_throughput_mcps(rows),
     );
     if cpus < PARALLEL_THREADS {
         let _ = writeln!(
@@ -533,7 +469,6 @@ mod tests {
                 wall_ms_serial: 400.0,
                 wall_ms_parallel: 160.0,
                 wall_ms_supervised: 420.0,
-                wall_ms_planned: 380.0,
                 wall_ms_recorded: 440.0,
                 slice_fraction: 0.75,
                 modeled_speedup: 2.29,
@@ -551,7 +486,6 @@ mod tests {
                 wall_ms_serial: 300.0,
                 wall_ms_parallel: 200.0,
                 wall_ms_supervised: 303.0,
-                wall_ms_planned: 250.0,
                 wall_ms_recorded: 306.0,
                 slice_fraction: 0.60,
                 modeled_speedup: 1.82,
@@ -573,10 +507,9 @@ mod tests {
         assert!(json.contains("\"wall_ms_threads4\":160.00"));
         assert!(json.contains("\"host_cpus\":"));
         assert!(json.contains("\"slice_fraction\":0.750"));
-        assert!(json.contains("\"wall_ms_planned\":380.00"));
         assert!(json.contains("\"throughput_mcps\":"));
-        assert!(json.contains("\"throughput_mcps_planned\":"));
-        assert!(json.contains("\"geomean_plan_speedup\":"));
+        assert!(!json.contains("planned"));
+        assert!(!json.contains("plan_speedup"));
         assert!(json.contains("\"modeled_speedup_threads4\":2.290"));
         assert!(json.contains("\"wall_ms_supervised\":420.00"));
         assert!(json.contains("\"supervisor_overhead\":1.050"));
@@ -675,16 +608,39 @@ mod tests {
     }
 
     #[test]
-    fn plan_speedup_and_throughput_track_planned_wall_clock() {
+    fn throughput_tracks_serial_wall_clock() {
         let rows = sample_rows();
-        // gcc: 400 ms plan-off -> 380 ms plan-on.
-        assert!((rows[0].speedup_planned() - 400.0 / 380.0).abs() < 1e-9);
-        // 3e6 simulated cycles over 400 ms = 7.5 Mcyc/s plan-off.
+        // 3e6 simulated cycles over 400 ms = 7.5 Mcyc/s.
         assert!((rows[0].throughput_mcps() - 7.5).abs() < 1e-9);
-        assert!(rows[0].throughput_mcps_planned() > rows[0].throughput_mcps());
-        let geo = geomean_plan_speedup(&rows);
-        let (lo, hi) = (400.0 / 380.0, 300.0 / 250.0);
+        let geo = geomean_throughput_mcps(&rows);
+        let (lo, hi) = (7.5, 4e6 / 1e3 / 300.0);
         assert!(geo >= lo && geo <= hi, "geomean {geo}");
+    }
+
+    /// The checked-in tracking file's history carries columns this
+    /// build no longer emits; a fresh emission must still carry every old
+    /// entry forward, and the perf guard's field must still parse from
+    /// the file and from the baseline snapshot.
+    #[test]
+    fn checked_in_history_stays_readable() {
+        let tracked = include_str!("../../../BENCH_parallel.json");
+        let baseline = include_str!("../../../ci/bench_baseline.json");
+        let old = split_top_level(extract_array(tracked, "history").expect("history array"))
+            .into_iter()
+            .filter(|entry| !entry.trim().is_empty())
+            .count();
+        assert!(old > 0);
+        assert!(extract_number(tracked, "geomean_throughput_mcps").is_some());
+        assert!(extract_number(baseline, "geomean_throughput_mcps").is_some());
+
+        let rows = sample_rows();
+        let json = parallel_to_json_with_history(Scale::Medium, &rows, "fresh", Some(tracked));
+        let history = extract_array(&json, "history").expect("history array");
+        assert_eq!(split_top_level(history).len(), old + 1);
+        assert!(history.contains("\"key\":\"pr10-wal\""));
+        let fresh = geomean_throughput_mcps(&rows);
+        let parsed = extract_number(&json, "geomean_throughput_mcps").expect("field");
+        assert!((parsed - fresh).abs() < 1e-3);
     }
 
     #[test]

@@ -100,11 +100,11 @@ fn run_never_cached(program: &Program) -> (CpuState, u64) {
     let mut cpu_state = process.cpu;
     let mut mem = process.mem;
     let mut retired = 0u64;
-    loop {
-        match cpu::step(&mut cpu_state, &mut mem).expect("step") {
-            ExecOutcome::Next | ExecOutcome::Jumped => retired += 1,
-            ExecOutcome::Syscall | ExecOutcome::Halt => break,
-        }
+    // Stops at the first `Syscall` or `Halt`.
+    while let ExecOutcome::Next | ExecOutcome::Jumped =
+        cpu::step(&mut cpu_state, &mut mem).expect("step")
+    {
+        retired += 1;
     }
     (cpu_state, retired)
 }
@@ -127,17 +127,16 @@ fn runner_config(threads: usize) -> SuperPinConfig {
     SuperPinConfig::scaled(1000, time_scale_for(Scale::Tiny)).with_threads(threads)
 }
 
-fn run_full(program: &Program, threads: usize, plan: bool) -> (SuperPinReport, u64) {
-    let mut cfg = runner_config(threads);
-    if plan {
-        let analysis = superpin::ProgramAnalysis::compute(program).expect("whole-program analysis");
-        cfg = cfg.with_plan(std::sync::Arc::new(
-            analysis.plan(superpin::PlanKnobs::default()),
-        ));
-    }
+fn run_full(program: &Program, threads: usize) -> (SuperPinReport, u64) {
     let shared = SharedMem::new();
     let tool = ICount1::new(&shared);
-    let report = run_superpin(program, tool.clone(), &shared, cfg, "smc");
+    let report = run_superpin(
+        program,
+        tool.clone(),
+        &shared,
+        runner_config(threads),
+        "smc",
+    );
     (report, tool.total(&shared))
 }
 
@@ -167,17 +166,17 @@ proptest::proptest! {
         prop_assert_eq!(plain_retired, want_retired, "retired count off");
     }
 
-    /// Report level: threads {1,4} x plan {off,on} are bit-identical to
-    /// each other and retire exactly the never-cached instruction count.
+    /// Report level: threads {1,4} are bit-identical to each other and
+    /// retire exactly the never-cached instruction count.
     #[test]
-    fn smc_reports_are_bit_identical_across_threads_and_plan(
+    fn smc_reports_are_bit_identical_across_threads(
         bound in 64u64..256,
         patch_at in 1u64..8,
         step in 2u64..6,
     ) {
         let program = smc_program(bound, patch_at, step);
         let (_, never_cached_retired) = run_never_cached(&program);
-        let (base_report, base_count) = run_full(&program, 1, false);
+        let (base_report, base_count) = run_full(&program, 1);
         let base_insts: u64 = base_report.slices.iter().map(|s| s.insts).sum();
         // +1: the runner services the `exit` syscall and retires the
         // syscall instruction; the never-cached loop parks before it.
@@ -187,20 +186,8 @@ proptest::proptest! {
             "runner retired a different stream than the never-cached interpreter"
         );
         prop_assert_eq!(base_count, never_cached_retired + 1, "icount1 total diverged");
-        for (threads, plan) in [(1, true), (4, false), (4, true)] {
-            let (report, count) = run_full(&program, threads, plan);
-            prop_assert_eq!(
-                &report,
-                &base_report,
-                "report differs at threads={} plan={}",
-                threads,
-                plan
-            );
-            prop_assert_eq!(
-                count, base_count,
-                "tool count differs at threads={} plan={}",
-                threads, plan
-            );
-        }
+        let (report, count) = run_full(&program, 4);
+        prop_assert_eq!(&report, &base_report, "report differs at threads=4");
+        prop_assert_eq!(count, base_count, "tool count differs at threads=4");
     }
 }

@@ -1,22 +1,15 @@
-//! Static↔dynamic soundness properties for the whole-program analysis.
+//! Static↔dynamic soundness of the whole-program analysis: the static
+//! results *over-approximate* the dynamic behavior. For every catalog
+//! workload and input, a run with the [`SoundnessOracle`] installed
+//! records zero violations: every dynamic indirect transfer lands
+//! inside its static target set, and every dynamic code-region write
+//! lands inside a static SMC region.
 //!
-//! Two contracts tie `superpin-analysis` to the simulator:
-//!
-//! 1. **Oracle soundness** — the static results *over-approximate* the
-//!    dynamic behavior. For every catalog workload and input, a run
-//!    with the [`SoundnessOracle`] installed records zero violations:
-//!    every dynamic indirect transfer lands inside its static target
-//!    set, and every dynamic code-region write lands inside a static
-//!    SMC region.
-//! 2. **Plan transparency** — the ahead-of-time superblock plan is a
-//!    pure host-side accelerator. Installing it (at any knob setting)
-//!    changes no simulated quantity: the `SuperPinReport` is
-//!    bit-identical plan-on vs plan-off at threads 1, 2 and 4, and the
-//!    merged tool counts agree.
+//! [`SoundnessOracle`]: superpin::SoundnessOracle
 
 use std::sync::Arc;
 
-use superpin::{PlanKnobs, ProgramAnalysis, SharedMem, SuperPinConfig, SuperPinReport};
+use superpin::{ProgramAnalysis, SharedMem, SuperPinConfig};
 use superpin_bench::runs::{run_superpin, time_scale_for};
 use superpin_tools::ICount1;
 use superpin_workloads::{catalog, Scale};
@@ -27,14 +20,7 @@ fn config() -> SuperPinConfig {
     SuperPinConfig::scaled(1000, time_scale_for(SCALE))
 }
 
-fn run(name: &str, program: &superpin_isa::Program, cfg: SuperPinConfig) -> (SuperPinReport, u64) {
-    let shared = SharedMem::new();
-    let tool = ICount1::new(&shared);
-    let report = run_superpin(program, tool.clone(), &shared, cfg, name);
-    (report, tool.total(&shared))
-}
-
-/// Property 1: static target sets and SMC regions contain every dynamic
+/// Static target sets and SMC regions contain every dynamic
 /// observation — the oracle stays clean across the catalog and across
 /// distinct workload inputs (different inputs steer indirect branches
 /// down different paths, so each input is an independent witness).
@@ -47,7 +33,8 @@ fn oracle_is_clean_across_catalog_and_inputs() {
                 .unwrap_or_else(|e| panic!("{} input {input}: analysis: {e}", spec.name));
             let oracle = Arc::new(analysis.oracle());
             let cfg = config().with_oracle(Arc::clone(&oracle));
-            run(spec.name, &program, cfg);
+            let shared = SharedMem::new();
+            run_superpin(&program, ICount1::new(&shared), &shared, cfg, spec.name);
             assert!(
                 oracle.is_clean(),
                 "{} input {input}: dynamic behavior escaped the static \
@@ -55,81 +42,6 @@ fn oracle_is_clean_across_catalog_and_inputs() {
                 spec.name,
                 oracle.violations(),
             );
-        }
-    }
-}
-
-/// Property 2: plan-on reports are bit-identical to the plan-off
-/// baseline at every thread count, and the plan does not disturb the
-/// oracle (both installed together is the debug-build default).
-#[test]
-fn plan_on_reports_match_plan_off_at_all_thread_counts() {
-    for spec in catalog() {
-        let program = spec.build(SCALE);
-        let analysis = ProgramAnalysis::compute(&program)
-            .unwrap_or_else(|e| panic!("{}: analysis: {e}", spec.name));
-        let plan = Arc::new(analysis.plan(PlanKnobs::default()));
-        let oracle = Arc::new(analysis.oracle());
-
-        let (base, count_base) = run(spec.name, &program, config().with_threads(1));
-        for threads in [1, 2, 4] {
-            let cfg = config()
-                .with_threads(threads)
-                .with_plan(Arc::clone(&plan))
-                .with_oracle(Arc::clone(&oracle));
-            let (got, count) = run(spec.name, &program, cfg);
-            assert_eq!(
-                base, got,
-                "{}: plan-on report differs from plan-off at threads={threads}",
-                spec.name
-            );
-            assert_eq!(
-                count_base, count,
-                "{}: merged icount differs at threads={threads}",
-                spec.name
-            );
-        }
-        assert!(
-            oracle.is_clean(),
-            "{}: oracle violations under plan: {:?}",
-            spec.name,
-            oracle.violations(),
-        );
-    }
-}
-
-/// Plan transparency must hold at *any* knob setting, not just the
-/// default: a hair-trigger hot threshold (everything planned) and a
-/// tiny trace cap (nothing fits, constant fallback) are the two
-/// extremes of the planner's decision space.
-#[test]
-fn plan_is_transparent_at_extreme_knob_settings() {
-    let knob_grid = [
-        PlanKnobs {
-            hot_loop_threshold: 1,
-            max_trace_len: 1,
-        },
-        PlanKnobs {
-            hot_loop_threshold: 1,
-            max_trace_len: 1024,
-        },
-        PlanKnobs {
-            hot_loop_threshold: 99,
-            max_trace_len: 96,
-        },
-    ];
-    for name in ["gcc", "vortex", "perlbmk"] {
-        let spec = catalog().iter().find(|s| s.name == name).expect("catalog");
-        let program = spec.build(SCALE);
-        let analysis =
-            ProgramAnalysis::compute(&program).unwrap_or_else(|e| panic!("{name}: analysis: {e}"));
-        let (base, count_base) = run(name, &program, config().with_threads(1));
-        for knobs in knob_grid {
-            let plan = Arc::new(analysis.plan(knobs));
-            let cfg = config().with_threads(2).with_plan(plan);
-            let (got, count) = run(name, &program, cfg);
-            assert_eq!(base, got, "{name}: report differs with knobs {knobs:?}");
-            assert_eq!(count_base, count, "{name}: icount differs with {knobs:?}");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! SuperPin configuration (the paper's command-line switches, §5).
 
 use std::sync::Arc;
-use superpin_analysis::{SoundnessOracle, SuperblockPlan};
+use superpin_analysis::SoundnessOracle;
 use superpin_dbi::{CostModel, LiveMap, CYCLES_PER_SEC};
 use superpin_fault::FailPlan;
 use superpin_sched::{Machine, Policy};
@@ -66,14 +66,6 @@ pub struct SuperPinConfig {
     /// full-clobber-set spill, which charges exactly the legacy flat
     /// [`CostModel::analysis_call`] rate.
     pub liveness: Option<Arc<LiveMap>>,
-    /// Ahead-of-time superblock plan from whole-program analysis
-    /// (`--plan on`). Every slice engine forms predicted-hot traces
-    /// from the plan's pre-decoded stream and elides host-side restores
-    /// of registers the plan's refined interprocedural liveness proves
-    /// dead (see [`Engine::set_plan`](superpin_dbi::Engine::set_plan)).
-    /// Strictly a host accelerator: reports are bit-identical with the
-    /// plan on or off.
-    pub plan: Option<Arc<SuperblockPlan>>,
     /// Static↔dynamic soundness oracle. When present, every slice
     /// engine cross-validates dynamic indirect transfers and code
     /// writes against the static analysis; debug builds assert on a
@@ -139,7 +131,6 @@ impl SuperPinConfig {
             adaptive_estimate: None,
             shared_code_cache: false,
             liveness: None,
-            plan: None,
             oracle: None,
             threads: 1,
             epoch_max_quanta: 256,
@@ -188,13 +179,6 @@ impl SuperPinConfig {
     /// dead registers (see [`SuperPinConfig::liveness`]).
     pub fn with_liveness(mut self, liveness: Arc<LiveMap>) -> SuperPinConfig {
         self.liveness = Some(liveness);
-        self
-    }
-
-    /// Installs an ahead-of-time superblock plan for every slice engine
-    /// (see [`SuperPinConfig::plan`]).
-    pub fn with_plan(mut self, plan: Arc<SuperblockPlan>) -> SuperPinConfig {
-        self.plan = Some(plan);
         self
     }
 

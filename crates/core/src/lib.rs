@@ -110,5 +110,5 @@ pub use runner::{HostProfile, SuperPinRunner};
 pub use shared::{AreaId, AutoMerge, SharedArea, SharedMem};
 pub use signature::{Signature, SignatureStats};
 pub use slice::{Boundary, SliceEnd, SliceRuntime, SliceState, SpSliceTool};
-pub use superpin_analysis::{PlanKnobs, ProgramAnalysis, SoundnessOracle, SuperblockPlan};
+pub use superpin_analysis::{ProgramAnalysis, SoundnessOracle};
 pub use superpin_fault::{FailPlan, FailpointRegistry, Site, SiteMode};

@@ -1727,6 +1727,16 @@ impl<T: SuperTool> SuperPinRunner<T> {
     }
 }
 
+impl<T: SuperTool> std::fmt::Debug for SuperPinRunner<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SuperPinRunner")
+            .field("now", &self.now)
+            .field("live_slices", &self.live.len())
+            .field("finished", &self.finished.len())
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1756,15 +1766,5 @@ mod tests {
     fn runner_is_send_for_send_tools() {
         fn assert_send<S: Send>() {}
         assert_send::<SuperPinRunner<NullTool>>();
-    }
-}
-
-impl<T: SuperTool> std::fmt::Debug for SuperPinRunner<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SuperPinRunner")
-            .field("now", &self.now)
-            .field("live_slices", &self.live.len())
-            .field("finished", &self.finished.len())
-            .finish()
     }
 }

@@ -308,9 +308,6 @@ impl<T: SuperTool> SliceRuntime<T> {
         if let Some(live) = &cfg.liveness {
             engine.set_liveness(Arc::clone(live));
         }
-        if let Some(plan) = &cfg.plan {
-            engine.set_plan(Arc::clone(plan));
-        }
         if let Some(oracle) = &cfg.oracle {
             engine.set_oracle(Arc::clone(oracle));
         }

@@ -57,12 +57,6 @@ pub struct InsertedCall<T> {
     /// [`LiveMap`] installed, registers dead at the insertion point are
     /// elided.
     pub saves: RegSet,
-    /// Subset of `saves` additionally proven dead by the *refined*
-    /// interprocedural liveness of a superblock plan
-    /// ([`CodeCache::set_refined_liveness`]). These registers skip the
-    /// host-side restore, but `saves` is untouched — it is the cost
-    /// basis, so charged cycles stay identical with a plan on or off.
-    pub elided: RegSet,
 }
 
 impl<T> fmt::Debug for InsertedCall<T> {
@@ -70,7 +64,6 @@ impl<T> fmt::Debug for InsertedCall<T> {
         f.debug_struct("InsertedCall")
             .field("call", &self.call)
             .field("saves", &self.saves)
-            .field("elided", &self.elided)
             .finish()
     }
 }
@@ -114,11 +107,10 @@ pub struct CompiledTrace<T> {
     pub fallthrough: u64,
     /// Number of basic blocks the source trace had.
     pub num_bbls: usize,
-    /// Superinstruction fusion metadata, present only when this trace
-    /// was compiled under a valid superblock plan that predicted it hot
-    /// *and* every attached call is fusible (see [`FusedMeta`]). Purely a
-    /// host-side accelerator: the fused executor charges exactly the
-    /// cycles the slow path would.
+    /// Superinstruction fusion metadata, present only when every
+    /// attached call is fusible (see [`FusedMeta`]). Purely a host-side
+    /// accelerator: the fused executor charges exactly the cycles the
+    /// slow path would.
     pub fused: Option<FusedMeta>,
 }
 
@@ -148,20 +140,18 @@ pub struct FusedSlot {
 }
 
 /// Superinstruction fusion: per-instruction tool-callback costs and cost
-/// accounting batched into pre-computed per-slot constants, so a hot
-/// planned trace executes as one tight dispatch over pre-lowered slots
-/// (cycle charges and argument vectors summed/evaluated at fuse time)
-/// instead of re-deriving each call's cost and arguments per execution.
+/// accounting batched into pre-computed per-slot constants, so a trace
+/// executes as one tight dispatch over pre-lowered slots (cycle charges
+/// and argument vectors summed/evaluated at fuse time) instead of
+/// re-deriving each call's cost and arguments per execution.
 ///
-/// Fusion is only attempted for traces a [`SuperblockPlan`] predicted
-/// hot, and only succeeds when every call is `Plain` with all-static
-/// arguments; anything else (if-then calls, dynamic arguments such as
-/// `MemAddr` on a load/store or `BranchTaken` on an after-call) leaves
-/// `fused` as `None` and the trace on the slow path. The signature check
-/// at dispatch (`slots.len() == insts.len()` plus a still-valid plan)
-/// guards the fused executor; any mismatch falls back to the slow path.
-///
-/// [`SuperblockPlan`]: superpin_analysis::SuperblockPlan
+/// The engine attempts fusion on every compile. It only succeeds when
+/// every call is `Plain` with all-static arguments; anything else
+/// (if-then calls, dynamic arguments such as `MemAddr` on a load/store
+/// or `BranchTaken` on an after-call) leaves `fused` as `None` and the
+/// trace on the slow path. The signature check at dispatch
+/// (`slots.len() == insts.len()`) guards the fused executor; any
+/// mismatch falls back to the slow path.
 #[derive(Clone, Debug)]
 pub struct FusedMeta {
     /// Per-instruction fused call lists, parallel to the trace's
@@ -251,15 +241,6 @@ pub struct CodeCache<T> {
     /// Static liveness used to elide save/restores of dead registers
     /// around analysis calls; `None` saves the full clobber set.
     liveness: Option<Arc<LiveMap>>,
-    /// Interprocedurally refined liveness from a superblock plan.
-    /// Registers in a call's save set that this map proves dead skip
-    /// the host-side restore ([`InsertedCall::elided`]) without
-    /// changing the charged cost.
-    refined: Option<Arc<LiveMap>>,
-    /// Host-only counter: restores elided via `refined` across all
-    /// compilations. Deliberately *not* part of [`CacheStats`], which
-    /// feeds bit-identical-report comparisons.
-    elided_restores: u64,
     /// Test hook: a register deliberately omitted from every planned
     /// save set, so the clobber-safety verifier has a bug to catch.
     clobber_bug: Option<Reg>,
@@ -299,8 +280,6 @@ impl<T> CodeCache<T> {
             capacity_insts: capacity_insts.max(1),
             stats: CacheStats::default(),
             liveness: None,
-            refined: None,
-            elided_restores: 0,
             clobber_bug: None,
             violations: Vec::new(),
         }
@@ -313,22 +292,6 @@ impl<T> CodeCache<T> {
     /// save sets.
     pub fn set_liveness(&mut self, liveness: Arc<LiveMap>) {
         self.liveness = Some(liveness);
-    }
-
-    /// Installs the superblock plan's interprocedurally refined
-    /// liveness. Registers a call must *save* (per the conservative
-    /// map) but that the refined map proves dead are marked
-    /// [`InsertedCall::elided`]: the host skips their restore while
-    /// the charged cost still covers the full save set. Like
-    /// [`CodeCache::set_liveness`], install while cold.
-    pub fn set_refined_liveness(&mut self, refined: Arc<LiveMap>) {
-        self.refined = Some(refined);
-    }
-
-    /// Host-only count of save/restores elided by the refined
-    /// liveness across all compilations. Not part of [`CacheStats`].
-    pub fn elided_restores(&self) -> u64 {
-        self.elided_restores
     }
 
     /// Test hook: omit `reg` from every save set the compiler plans, so
@@ -420,8 +383,8 @@ impl<T> CodeCache<T> {
     /// instrumentation and inserts it. Returns the compiled trace and the
     /// number of instructions compiled (for JIT cost accounting).
     ///
-    /// With `fuse` set (the engine passes its cost model for traces a
-    /// superblock plan predicted hot), the compiler additionally tries to
+    /// With `fuse` set (the engine passes its cost model on every
+    /// compile), the compiler additionally tries to
     /// fuse the trace into a superinstruction ([`FusedMeta`]): per-call
     /// charges and static argument vectors are pre-computed here so the
     /// fused executor dispatches the whole trace without re-deriving
@@ -467,19 +430,6 @@ impl<T> CodeCache<T> {
                 if let Some(bug) = self.clobber_bug {
                     saves.remove(bug);
                 }
-                // Refined interprocedural liveness (superblock plan):
-                // saved registers the refined map proves dead skip
-                // their host-side restore. `saves` itself is untouched
-                // — it is the cost basis.
-                let refined_live = self.refined.as_ref().map(|map| match point {
-                    IPoint::Before => map.live_before(addr),
-                    IPoint::After => map.live_after(addr),
-                });
-                let elided = match refined_live {
-                    None => RegSet::EMPTY,
-                    Some(refined) => saves.minus(required_saves(refined)),
-                };
-                self.elided_restores += elided.len() as u64;
                 slot.needs_mem_ea |= call_needs_mem_ea(&call);
                 let list = match point {
                     IPoint::Before => &mut slot.before,
@@ -498,27 +448,8 @@ impl<T> CodeCache<T> {
                             live,
                         });
                     }
-                    // With elision, what is actually restored is
-                    // `saves − elided`; it must still cover the
-                    // refined requirement.
-                    if let Some(refined) = refined_live {
-                        let missing = required_saves(refined).minus(saves.minus(elided));
-                        if !missing.is_empty() {
-                            self.violations.push(ClobberViolation {
-                                addr,
-                                point,
-                                call_index: list.len(),
-                                missing,
-                                live: refined,
-                            });
-                        }
-                    }
                 }
-                list.push(InsertedCall {
-                    call,
-                    saves,
-                    elided,
-                });
+                list.push(InsertedCall { call, saves });
             }
             // Calls aimed at addresses outside the trace are dropped,
             // mirroring Pin: instrumentation only applies to the trace

@@ -11,7 +11,7 @@ use crate::tool::Pintool;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
-use superpin_analysis::{SoundnessOracle, SuperblockPlan};
+use superpin_analysis::SoundnessOracle;
 use superpin_fault::{FailpointRegistry, Site};
 use superpin_isa::Inst;
 use superpin_vm::cpu::ExecOutcome;
@@ -39,26 +39,6 @@ impl CycleBreakdown {
     pub fn total(&self) -> u64 {
         self.app + self.analysis + self.jit + self.dispatch + self.syscall
     }
-}
-
-/// Host-only superblock-plan counters. Deliberately separate from
-/// [`EngineStats`]: the plan is an execution accelerator, so everything
-/// that feeds bit-identical-report comparisons must not change with a
-/// plan installed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlanStats {
-    /// Trace compilations that fetched from the plan's pre-decoded
-    /// stream (a predicted-hot entry missed the cache).
-    pub planned_traces: u64,
-    /// Instructions those compilations took from the pre-decode.
-    pub planned_insts: u64,
-    /// Instructions a planned compilation still had to decode live
-    /// (address outside the plan, e.g. past a split point).
-    pub fallback_decodes: u64,
-    /// Register restores skipped thanks to the plan's refined
-    /// interprocedural liveness (see
-    /// [`crate::cache::InsertedCall::elided`]).
-    pub elided_restores: u64,
 }
 
 /// Execution counters.
@@ -190,21 +170,10 @@ pub struct Engine<T: Pintool> {
     /// Dispatches evaluated against the failpoint while armed (the
     /// per-engine half of the key, deterministic per execution).
     fault_dispatches: u64,
-    /// Ahead-of-time superblock plan: pre-decoded instruction stream and
-    /// predicted-hot trace entries. Purely a host-side accelerator —
-    /// trace shapes and charged costs are identical with or without it.
-    plan: Option<Arc<SuperblockPlan>>,
-    /// Cleared the first time self-modifying code is detected: the plan
-    /// pre-decoded the original image, so after SMC every fetch falls
-    /// back to live decode.
-    plan_valid: bool,
     /// Static↔dynamic soundness oracle: every taken `jalr` and every
     /// code write is validated against the static analysis (debug builds
     /// assert; release builds record).
     oracle: Option<Arc<SoundnessOracle>>,
-    /// Host-only plan counters (`elided_restores` lives in the cache and
-    /// is merged in by [`Engine::plan_stats`]).
-    plan_stats: PlanStats,
     /// Host-side cross-engine template cache (see
     /// [`Engine::set_trace_templates`]). `None` keeps every compile
     /// private to this engine.
@@ -237,10 +206,7 @@ impl<T: Pintool + Clone> Clone for Engine<T> {
             fault: self.fault.clone(),
             fault_salt: self.fault_salt,
             fault_dispatches: self.fault_dispatches,
-            plan: self.plan.clone(),
-            plan_valid: self.plan_valid,
             oracle: self.oracle.clone(),
-            plan_stats: self.plan_stats,
             templates: self.templates.clone(),
         }
     }
@@ -284,10 +250,7 @@ impl<T: Pintool + 'static> Engine<T> {
             fault: None,
             fault_salt: 0,
             fault_dispatches: 0,
-            plan: None,
-            plan_valid: false,
             oracle: None,
-            plan_stats: PlanStats::default(),
             templates: None,
         }
     }
@@ -360,22 +323,6 @@ impl<T: Pintool + 'static> Engine<T> {
         self.cache.set_liveness(liveness);
     }
 
-    /// Installs an ahead-of-time superblock plan. Predicted-hot trace
-    /// entries that miss the code cache are formed from the plan's
-    /// pre-decoded stream instead of decoding guest memory, and the
-    /// plan's refined interprocedural liveness lets the cache skip
-    /// host-side restores of provably dead saved registers
-    /// ([`CodeCache::set_refined_liveness`]). Trace shapes,
-    /// instrumentation results, and charged costs are identical with or
-    /// without a plan — only host wall-clock changes. Install while the
-    /// cache is cold. Self-modifying code permanently invalidates the
-    /// pre-decode (fetches fall back to live decode).
-    pub fn set_plan(&mut self, plan: Arc<SuperblockPlan>) {
-        self.cache.set_refined_liveness(plan.refined_liveness_arc());
-        self.plan = Some(plan);
-        self.plan_valid = true;
-    }
-
     /// Installs a cross-engine compiled-trace template cache.
     ///
     /// Engines sharing one map reuse each other's compiled traces when
@@ -397,14 +344,6 @@ impl<T: Pintool + 'static> Engine<T> {
     pub fn set_oracle(&mut self, oracle: Arc<SoundnessOracle>) {
         self.process.mem.log_code_writes(true);
         self.oracle = Some(oracle);
-    }
-
-    /// Host-only plan counters (zero when no plan is installed).
-    pub fn plan_stats(&self) -> PlanStats {
-        PlanStats {
-            elided_restores: self.cache.elided_restores(),
-            ..self.plan_stats
-        }
     }
 
     /// Clobber-safety violations found while compiling instrumentation
@@ -499,9 +438,6 @@ impl<T: Pintool + 'static> Engine<T> {
                 self.code_version_seen = code_version;
                 self.cache.flush_for_smc();
                 self.pending_dispatch = true;
-                // The plan pre-decoded the original image; its stream is
-                // stale now. Fall back to live decode for good.
-                self.plan_valid = false;
                 if let Some(oracle) = &self.oracle {
                     for (addr, len) in self.process.mem.take_code_writes() {
                         let admitted = oracle.check_code_write(addr, len as u64);
@@ -579,72 +515,24 @@ impl<T: Pintool + 'static> Engine<T> {
         }
         // A miss always routes through the dispatcher into the JIT.
         self.pending_dispatch = true;
-        let plan = self
-            .plan
-            .as_ref()
-            .filter(|plan| self.plan_valid && plan.is_hot(pc))
-            .cloned();
-        let trace = match plan {
-            Some(plan) => {
-                // Predicted-hot entry: form the trace from the plan's
-                // pre-decoded stream. Shape-identical to a live decode
-                // (debug builds verify instruction by instruction); the
-                // JIT cost below is charged exactly the same either way.
-                let mem = &self.process.mem;
-                let fallbacks = std::cell::Cell::new(0u64);
-                let trace = crate::trace::discover_trace_with(
-                    |pc| match plan.lookup(pc) {
-                        Some((inst, size)) => {
-                            let planned = crate::trace::InstRef {
-                                addr: pc,
-                                inst,
-                                size,
-                            };
-                            #[cfg(debug_assertions)]
-                            {
-                                let fresh = crate::trace::decode_guest(mem, pc)?;
-                                debug_assert_eq!(
-                                    fresh, planned,
-                                    "plan pre-decode diverged from guest memory at {pc:#x}"
-                                );
-                            }
-                            Ok(planned)
-                        }
-                        None => {
-                            fallbacks.set(fallbacks.get() + 1);
-                            crate::trace::decode_guest(mem, pc)
-                        }
-                    },
-                    pc,
-                    self.split_point,
-                )?;
-                self.plan_stats.planned_traces += 1;
-                self.plan_stats.planned_insts +=
-                    trace.num_insts() as u64 - fallbacks.get().min(trace.num_insts() as u64);
-                self.plan_stats.fallback_decodes += fallbacks.get();
-                trace
-            }
-            None => {
-                // Live discovery routes through the process decode cache:
-                // a forked slice inherits its master's decoded pages, so
-                // re-discovering a trace the master already walked decodes
-                // nothing.
-                let split = self.split_point;
-                let process = &mut self.process;
-                crate::trace::discover_trace_with(
-                    |pc| {
-                        let (inst, size) = process.fetch_decoded(pc)?;
-                        Ok(crate::trace::InstRef {
-                            addr: pc,
-                            inst,
-                            size,
-                        })
-                    },
-                    pc,
-                    split,
-                )?
-            }
-        };
+        // Trace discovery routes through the process decode cache: a
+        // forked slice inherits its master's decoded pages, so
+        // re-discovering a trace the master already walked decodes
+        // nothing.
+        let split = self.split_point;
+        let process = &mut self.process;
+        let trace = crate::trace::discover_trace_with(
+            |pc| {
+                let (inst, size) = process.fetch_decoded(pc)?;
+                Ok(crate::trace::InstRef {
+                    addr: pc,
+                    inst,
+                    size,
+                })
+            },
+            pc,
+            split,
+        )?;
         // Template sharing: when a peer engine already compiled this
         // exact trace with certified-pure instrumentation, adopt its
         // compiled form instead of re-instrumenting. Guarded by an
@@ -675,8 +563,7 @@ impl<T: Pintool + 'static> Engine<T> {
         self.tool.instrument_trace(&trace, &mut inserter);
         // Every compile attempts fusion: eligibility is per-call (plain
         // call, fully static arguments) and the fused accounting is the
-        // slow path's accounting computed ahead of time, so fusing is
-        // sound with or without a plan installed.
+        // slow path's accounting computed ahead of time.
         let (compiled, count) = self.cache.compile(&trace, inserter, Some(&self.cost));
         if shareable {
             self.templates

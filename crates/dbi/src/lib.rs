@@ -60,9 +60,7 @@ pub mod trace;
 
 pub use cache::{CacheStats, CodeCache, InsertedCall};
 pub use cost::{cycles_to_secs, secs_to_cycles, CostModel, CYCLES_PER_SEC};
-pub use engine::{
-    cycles_to_ns, CycleBreakdown, Engine, EngineStats, EngineStop, PlanStats, RunResult,
-};
+pub use engine::{cycles_to_ns, CycleBreakdown, Engine, EngineStats, EngineStop, RunResult};
 pub use inserter::{AnalysisFn, Call, CallCtx, EngineCtl, IArg, IPoint, Inserter, PredicateFn};
 pub use shared_index::{ProbeOutcome, SharedIndexStats, SharedTraceIndex};
 pub use spill::{analysis_clobbers, ClobberViolation};
@@ -71,6 +69,4 @@ pub use trace::{discover_trace, BasicBlock, InstRef, Trace};
 
 // Re-exported so DBI consumers can build and install liveness without
 // depending on `superpin-analysis` directly.
-pub use superpin_analysis::{
-    LiveMap, PlanKnobs, ProgramAnalysis, RegSet, SoundnessOracle, SuperblockPlan,
-};
+pub use superpin_analysis::{LiveMap, ProgramAnalysis, RegSet, SoundnessOracle};

@@ -157,10 +157,8 @@ pub fn discover_trace_split(
 /// [`discover_trace_split`] over an arbitrary instruction source.
 ///
 /// The fetch closure abstracts where instruction bytes come from: live
-/// guest-memory decode ([`decode_guest`]) or an ahead-of-time
-/// superblock plan's pre-decoded stream. Both must yield identical
-/// [`InstRef`]s for the same pc — the engine debug-asserts this when a
-/// plan is installed.
+/// guest-memory decode ([`decode_guest`]) or the process decode cache.
+/// Both must yield identical [`InstRef`]s for the same pc.
 ///
 /// # Errors
 ///

@@ -72,8 +72,9 @@ pub fn get_syscall_record(reader: &mut Reader<'_>) -> Result<SyscallRecord, Code
         *arg = reader.u64("syscall arg")?;
     }
     let ret = reader.u64("syscall ret")?;
-    let mem_count = reader.u32("mem_writes count")?;
-    let mut mem_writes = Vec::with_capacity(mem_count.min(1024) as usize);
+    // addr + length prefix
+    let mem_count = reader.count("mem_writes count", 8 + 4)?;
+    let mut mem_writes = Vec::with_capacity(mem_count);
     for _ in 0..mem_count {
         let addr = reader.u64("mem_write addr")?;
         let bytes = reader.bytes("mem_write bytes")?;
@@ -82,8 +83,9 @@ pub fn get_syscall_record(reader: &mut Reader<'_>) -> Result<SyscallRecord, Code
             bytes: bytes.into(),
         });
     }
-    let map_count = reader.u32("map_ops count")?;
-    let mut map_ops = Vec::with_capacity(map_count.min(1024) as usize);
+    // tag + one u64 operand
+    let map_count = reader.count("map_ops count", 1 + 8)?;
+    let mut map_ops = Vec::with_capacity(map_count);
     for _ in 0..map_count {
         let op = match reader.u8("map_op tag")? {
             0 => MapOp::Map {
@@ -105,8 +107,9 @@ pub fn get_syscall_record(reader: &mut Reader<'_>) -> Result<SyscallRecord, Code
         };
         map_ops.push(op);
     }
-    let reg_count = reader.u32("reg_writes count")?;
-    let mut reg_writes = Vec::with_capacity(reg_count.min(1024) as usize);
+    // reg index + value
+    let reg_count = reader.count("reg_writes count", 1 + 8)?;
+    let mut reg_writes = Vec::with_capacity(reg_count);
     for _ in 0..reg_count {
         let index = reader.u8("reg index")?;
         let reg = Reg::try_new(index).ok_or(CodecError::BadTag {
@@ -202,13 +205,13 @@ pub fn get_event(reader: &mut Reader<'_>) -> Result<NondetEvent, CodecError> {
                     })
                 }
             };
-            let dropped_count = reader.u32("dropped count")?;
-            let mut dropped = Vec::with_capacity(dropped_count.min(1024) as usize);
+            let dropped_count = reader.count("dropped count", 4)?;
+            let mut dropped = Vec::with_capacity(dropped_count);
             for _ in 0..dropped_count {
                 dropped.push(reader.u32("dropped slice")?);
             }
-            let evicted_count = reader.u32("evicted count")?;
-            let mut evicted = Vec::with_capacity(evicted_count.min(1024) as usize);
+            let evicted_count = reader.count("evicted count", 4)?;
+            let mut evicted = Vec::with_capacity(evicted_count);
             for _ in 0..evicted_count {
                 evicted.push(reader.u32("evicted slice")?);
             }
@@ -270,6 +273,10 @@ fn put_slice_report(out: &mut Vec<u8>, slice: &SliceReport) {
         put_u64(out, value);
     }
 }
+
+/// Encoded size of one [`SliceReport`]: num, insts, records played,
+/// end tag, three cycle stamps, and twenty stat counters.
+const SLICE_REPORT_BYTES: usize = 4 + 8 + 8 + 1 + 3 * 8 + 20 * 8;
 
 fn get_slice_report(reader: &mut Reader<'_>) -> Result<SliceReport, CodecError> {
     let num = reader.u32("slice num")?;
@@ -374,8 +381,8 @@ pub fn get_report(reader: &mut Reader<'_>) -> Result<SuperPinReport, CodecError>
     for value in &mut values {
         *value = reader.u64("report field")?;
     }
-    let slice_count = reader.u32("slice count")?;
-    let mut slices = Vec::with_capacity(slice_count.min(4096) as usize);
+    let slice_count = reader.count("slice count", SLICE_REPORT_BYTES)?;
+    let mut slices = Vec::with_capacity(slice_count);
     for _ in 0..slice_count {
         slices.push(get_slice_report(reader)?);
     }

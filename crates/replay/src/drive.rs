@@ -7,8 +7,7 @@ use crate::log::ReplayLog;
 use crate::recipe::RunRecipe;
 use crate::wire::CodecError;
 use std::fmt;
-use std::sync::Arc;
-use superpin::{ProgramAnalysis, SharedMem, SpError, SuperPinReport, SuperPinRunner, SuperTool};
+use superpin::{SharedMem, SpError, SuperPinReport, SuperPinRunner, SuperTool};
 use superpin_vm::process::Process;
 
 /// Errors from driving a recorded or replayed run.
@@ -16,9 +15,6 @@ use superpin_vm::process::Process;
 pub enum ReplayError {
     /// The recipe names a workload the catalog does not have.
     UnknownWorkload(String),
-    /// Whole-program analysis failed while rebuilding the recorded
-    /// run's superblock plan.
-    Analysis(String),
     /// The simulation failed (a replay that departs from its log
     /// surfaces here as [`SpError::ReplayDivergence`]).
     Sim(SpError),
@@ -31,9 +27,6 @@ impl fmt::Display for ReplayError {
         match self {
             ReplayError::UnknownWorkload(name) => {
                 write!(f, "workload `{name}` is not in the catalog")
-            }
-            ReplayError::Analysis(detail) => {
-                write!(f, "whole-program analysis failed: {detail}")
             }
             ReplayError::Sim(err) => write!(f, "{err}"),
             ReplayError::Codec(err) => write!(f, "{err}"),
@@ -63,14 +56,13 @@ impl From<CodecError> for ReplayError {
     }
 }
 
-/// Builds a runner from a recipe: catalog program, config knobs, and
-/// (when the recipe carries plan knobs) the recomputed superblock plan.
+/// Builds a runner from a recipe: catalog program and config knobs.
 /// `threads` and `replaying` deviate deliberately from the recipe — see
 /// [`RunRecipe::base_config`]. The caller installs record/replay mode.
 ///
 /// # Errors
 ///
-/// Unknown workloads, analysis failures, and simulator setup errors.
+/// Unknown workloads and simulator setup errors.
 pub fn build_runner<T: SuperTool>(
     recipe: &RunRecipe,
     threads: usize,
@@ -81,12 +73,7 @@ pub fn build_runner<T: SuperTool>(
     let program = recipe
         .program()
         .ok_or_else(|| ReplayError::UnknownWorkload(recipe.name.clone()))?;
-    let mut cfg = recipe.base_config(threads, replaying);
-    if let Some(knobs) = recipe.plan {
-        let analysis =
-            ProgramAnalysis::compute(&program).map_err(|e| ReplayError::Analysis(e.to_string()))?;
-        cfg = cfg.with_plan(Arc::new(analysis.plan(knobs)));
-    }
+    let cfg = recipe.base_config(threads, replaying);
     let process = Process::load(1, &program).map_err(SpError::from)?;
     Ok(SuperPinRunner::new(process, tool, shared.clone(), cfg)?)
 }

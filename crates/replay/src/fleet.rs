@@ -176,6 +176,10 @@ fn put_fleet_event(out: &mut Vec<u8>, event: &FleetEvent) {
 }
 
 /// Decodes one event written by [`put_fleet_event`].
+/// Smallest encoded [`FleetEvent`]: tag, job, and fleet time (`Defer`
+/// and `Complete`).
+const MIN_FLEET_EVENT_BYTES: usize = 1 + 4 + 8;
+
 fn get_fleet_event(reader: &mut Reader) -> Result<FleetEvent, CodecError> {
     let tag = reader.u8("event tag")?;
     Ok(match tag {
@@ -262,13 +266,14 @@ impl FleetLog {
             });
         }
         let recipe = FleetRecipe::decode_from(&mut reader)?;
-        let event_count = reader.u32("event count")?;
-        let mut events = Vec::with_capacity(event_count as usize);
+        let event_count = reader.count("event count", MIN_FLEET_EVENT_BYTES)?;
+        let mut events = Vec::with_capacity(event_count);
         for _ in 0..event_count {
             events.push(get_fleet_event(&mut reader)?);
         }
-        let outcome_count = reader.u32("outcome count")?;
-        let mut outcomes = Vec::with_capacity(outcome_count as usize);
+        // length prefix per line
+        let outcome_count = reader.count("outcome count", 4)?;
+        let mut outcomes = Vec::with_capacity(outcome_count);
         for _ in 0..outcome_count {
             outcomes.push(reader.str("outcome line")?);
         }
@@ -385,23 +390,23 @@ impl RoundFrame {
         let mut reader = Reader::new(bytes);
         let round = reader.u64("round")?;
         let fleet_now = reader.u64("fleet time")?;
-        let selected_count = reader.u32("selection count")?;
-        let mut selected = Vec::with_capacity(selected_count as usize);
+        let selected_count = reader.count("selection count", 4)?;
+        let mut selected = Vec::with_capacity(selected_count);
         for _ in 0..selected_count {
             selected.push(reader.u32("selected job")?);
         }
-        let delta_count = reader.u32("delta count")?;
-        let mut deltas = Vec::with_capacity(delta_count as usize);
+        let delta_count = reader.count("delta count", 8)?;
+        let mut deltas = Vec::with_capacity(delta_count);
         for _ in 0..delta_count {
             deltas.push(reader.u64("delta")?);
         }
-        let event_count = reader.u32("event count")?;
-        let mut events = Vec::with_capacity(event_count as usize);
+        let event_count = reader.count("event count", MIN_FLEET_EVENT_BYTES)?;
+        let mut events = Vec::with_capacity(event_count);
         for _ in 0..event_count {
             events.push(get_fleet_event(&mut reader)?);
         }
-        let usage_count = reader.u32("usage count")?;
-        let mut usages = Vec::with_capacity(usage_count as usize);
+        let usage_count = reader.count("usage count", 8)?;
+        let mut usages = Vec::with_capacity(usage_count);
         for _ in 0..usage_count {
             usages.push(reader.u64("usage")?);
         }

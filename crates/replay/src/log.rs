@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! "SPLOG"            5-byte magic
-//! version: u16       = 1
+//! version: u16       = 2
 //! frame*             type: u8, len: u32, payload[len]
 //! ```
 //!
@@ -24,7 +24,7 @@ use superpin::{NondetEvent, SuperPinReport};
 /// Log magic bytes.
 pub const MAGIC: &[u8; 5] = b"SPLOG";
 /// Current log format version.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 const FRAME_HEADER: u8 = 0x01;
 const FRAME_EVENT: u8 = 0x02;

@@ -12,7 +12,7 @@
 //! substitutes injection's only report-visible effect).
 
 use crate::wire::{put_bool, put_opt_u64, put_str, put_u32, put_u64, put_u8, CodecError, Reader};
-use superpin::{FailPlan, PlanKnobs, SuperPinConfig};
+use superpin::{FailPlan, SuperPinConfig};
 use superpin_dbi::CYCLES_PER_SEC;
 use superpin_isa::Program;
 use superpin_workloads::{find, Scale, WorkloadSpec};
@@ -52,8 +52,6 @@ pub struct RunRecipe {
     pub mem_budget: Option<u64>,
     /// Whether supervision was enabled (explicitly or implied by chaos).
     pub supervise: bool,
-    /// Superblock-plan knobs when the run used whole-program analysis.
-    pub plan: Option<PlanKnobs>,
     /// Free-form provenance tag (git describe, CI run id, …).
     pub tag: String,
 }
@@ -76,7 +74,6 @@ impl RunRecipe {
             max_slice_retries: 2,
             mem_budget: None,
             supervise: false,
-            plan: None,
             tag: String::new(),
         }
     }
@@ -103,8 +100,7 @@ impl RunRecipe {
     /// contract being exercised). With `replaying`, chaos is stripped
     /// but supervision stays on if the recorded run had it — checkpoint
     /// retention is report-visible under a memory budget, so the replay
-    /// must supervise identically. The superblock plan (if any) is
-    /// attached by the caller, which holds the program.
+    /// must supervise identically.
     pub fn base_config(&self, threads: usize, replaying: bool) -> SuperPinConfig {
         let mut cfg = SuperPinConfig::scaled(self.spmsec, self.time_scale())
             .with_max_slices(self.spmp)
@@ -155,14 +151,6 @@ impl RunRecipe {
         put_u32(out, self.max_slice_retries);
         put_opt_u64(out, self.mem_budget);
         put_bool(out, self.supervise);
-        match &self.plan {
-            Some(knobs) => {
-                put_u8(out, 1);
-                put_u32(out, knobs.hot_loop_threshold);
-                put_u64(out, knobs.max_trace_len as u64);
-            }
-            None => put_u8(out, 0),
-        }
         put_str(out, &self.tag);
     }
 
@@ -209,19 +197,6 @@ impl RunRecipe {
         let max_slice_retries = reader.u32("max_slice_retries")?;
         let mem_budget = reader.opt_u64("mem_budget")?;
         let supervise = reader.bool("supervise")?;
-        let plan = match reader.u8("plan flag")? {
-            0 => None,
-            1 => Some(PlanKnobs {
-                hot_loop_threshold: reader.u32("hot_loop_threshold")?,
-                max_trace_len: reader.u64("max_trace_len")? as usize,
-            }),
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "plan flag",
-                    tag: tag as u64,
-                })
-            }
-        };
         let tag = reader.str("tag")?;
         Ok(RunRecipe {
             name,
@@ -237,7 +212,6 @@ impl RunRecipe {
             max_slice_retries,
             mem_budget,
             supervise,
-            plan,
             tag,
         })
     }
@@ -255,7 +229,6 @@ mod tests {
         recipe.chaos = Some(FailPlan::new(3, 0.05));
         recipe.mem_budget = Some(64 << 20);
         recipe.supervise = true;
-        recipe.plan = Some(PlanKnobs::default());
         recipe.tag = "pr8-test".to_string();
 
         let mut out = Vec::new();
@@ -271,6 +244,43 @@ mod tests {
         let mut out = Vec::new();
         recipe.encode(&mut out);
         assert_eq!(RunRecipe::decode(&mut Reader::new(&out)).unwrap(), recipe);
+    }
+
+    /// A version-1 log (whose recipe still carried a whole-program
+    /// analysis flag before the tag) is refused at the header with a typed error
+    /// by both the strict decoder and the salvage scan.
+    #[test]
+    fn version_one_log_is_rejected_with_bad_header() {
+        let recipe = RunRecipe::standard("gcc", Scale::Tiny);
+        let mut current = Vec::new();
+        recipe.encode(&mut current);
+        let mut tag = Vec::new();
+        put_str(&mut tag, &recipe.tag);
+        let mut payload = current[..current.len() - tag.len()].to_vec();
+        put_u8(&mut payload, 1);
+        put_u32(&mut payload, 1);
+        put_u64(&mut payload, 96);
+        payload.extend_from_slice(&tag);
+
+        let mut v1 = crate::log::MAGIC.to_vec();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        put_u8(&mut v1, 0x01);
+        put_u32(&mut v1, payload.len() as u32);
+        v1.extend_from_slice(&payload);
+        put_u8(&mut v1, 0x04);
+        put_u32(&mut v1, 0);
+
+        for result in [
+            crate::log::ReplayLog::decode(&v1).map(|_| ()),
+            crate::log::scan(&v1).map(|_| ()),
+        ] {
+            match result {
+                Err(CodecError::BadHeader { detail }) => {
+                    assert!(detail.contains("version 1"), "{detail}")
+                }
+                other => panic!("expected BadHeader, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -184,6 +184,23 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a `u32` element count for a sequence whose elements each
+    /// encode to at least `min_elem_bytes` bytes. A count the unread
+    /// bytes cannot hold is [`CodecError::Truncated`], so the result is
+    /// bounded by `remaining() / min_elem_bytes` and safe to pass to
+    /// `Vec::with_capacity`.
+    pub fn count(
+        &mut self,
+        what: &'static str,
+        min_elem_bytes: usize,
+    ) -> Result<usize, CodecError> {
+        let count = self.u32(what)? as usize;
+        if count > self.remaining() / min_elem_bytes.max(1) {
+            return Err(CodecError::Truncated { what });
+        }
+        Ok(count)
+    }
+
     /// Reads a `u32`-length-prefixed byte string.
     pub fn bytes(&mut self, what: &'static str) -> Result<&'a [u8], CodecError> {
         let len = self.u32(what)? as usize;

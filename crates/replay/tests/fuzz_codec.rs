@@ -38,7 +38,7 @@ fn sample_round(round: u64) -> RoundFrame {
             FleetEvent::Admit {
                 job: round as u32,
                 fleet_now: round * 1717,
-                budget: (round % 2 == 0).then_some(4096),
+                budget: round.is_multiple_of(2).then_some(4096),
             },
             FleetEvent::Complete {
                 job: round as u32,
@@ -189,6 +189,53 @@ fn splog_truncated_at_every_offset_explains_itself() {
                 "cut {cut}: unhelpful explanation `{explained}`"
             );
         }
+    }
+}
+
+/// Regression for an allocation abort: flipping bit 0 of the second
+/// event's tag turns `Complete` (13 bytes) into `Evict` (21 bytes), so
+/// the reader swallows the outcome count and the string's length prefix
+/// and then reads the outcome count from the text `{"jo` (1.87e9).
+/// That count once sized a ~45 GB `Vec::with_capacity`. The same bogus
+/// count planted in each count field of a round frame must also come
+/// back as a typed error.
+#[test]
+fn damaged_counts_are_typed_errors_not_allocations() {
+    let mut log = sample_fleet_log();
+    let complete = [3, 0, 0, 0, 0, 0x84, 0x03, 0, 0, 0, 0, 0, 0];
+    let tag = log
+        .windows(complete.len())
+        .position(|window| window == complete)
+        .expect("sample log holds the Complete event");
+    log[tag] ^= 1;
+    assert_eq!(
+        FleetLog::decode(&log),
+        Err(CodecError::Truncated {
+            what: "outcome count"
+        })
+    );
+
+    let bogus = u32::from_le_bytes(*b"{\"jo");
+    let frame = sample_round(5).encode();
+    // Offsets of the selection, delta, event, and usage counts: two
+    // selected ids, two deltas, and two usages.
+    let selected_at = 16;
+    let deltas_at = selected_at + 4 + 2 * 4;
+    let events_at = deltas_at + 4 + 2 * 8;
+    let usages_at = frame.len() - (4 + 2 * 8);
+    for (at, what) in [
+        (selected_at, "selection count"),
+        (deltas_at, "delta count"),
+        (events_at, "event count"),
+        (usages_at, "usage count"),
+    ] {
+        let mut damaged = frame.clone();
+        damaged[at..at + 4].copy_from_slice(&bogus.to_le_bytes());
+        assert_eq!(
+            RoundFrame::decode(&damaged),
+            Err(CodecError::Truncated { what }),
+            "{what}"
+        );
     }
 }
 

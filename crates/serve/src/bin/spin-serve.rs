@@ -125,7 +125,7 @@ fn usage() -> ! {
          [--wal-fsync commit|off|every=N]\n\
          job file lines: `tenant NAME weight=N [budget=BYTES]` and\n\
          `job tenant=NAME workload=NAME [scale=S] [tool=T] [arrive=CYCLES] \
-         [mem-budget=BYTES] [chaos-rate=F] [plan=on|off]`"
+         [mem-budget=BYTES] [chaos-rate=F]`"
     );
     std::process::exit(2);
 }

@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use superpin::governor::FORK_COST_BYTES;
-use superpin::{FailPlan, ProgramAnalysis, SpError, SuperPinConfig, TenantAdmission, TenantLedger};
+use superpin::{FailPlan, SpError, SuperPinConfig, TenantAdmission, TenantLedger};
 use superpin_dbi::CYCLES_PER_SEC;
 use superpin_replay::{diff_round, FleetEvent, RoundFrame};
 use superpin_sched::FleetQueue;
@@ -276,12 +276,6 @@ impl Fleet<'_> {
         };
         if let Some(plan) = base_chaos {
             cfg = cfg.with_chaos(plan.for_tenant(tenant));
-        }
-        if spec.plan {
-            let analysis = ProgramAnalysis::compute(&program).expect("whole-program analysis");
-            cfg = cfg
-                .with_plan(std::sync::Arc::new(analysis.plan(Default::default())))
-                .with_oracle(std::sync::Arc::new(analysis.oracle()));
         }
         let driver = build_job(&program, cfg, &spec.tool)
             .map_err(|source| FleetError::Job { job: id, source })?

@@ -24,7 +24,7 @@
 //! usage or I/O errors.
 
 use std::process::ExitCode;
-use superpin::{FailPlan, PlanKnobs, SharedMem};
+use superpin::{FailPlan, SharedMem};
 use superpin_replay::fleet::{FleetLog, FLEET_MAGIC};
 use superpin_replay::json::report_to_json;
 use superpin_replay::log::{explain_decode_failure, scan};
@@ -64,7 +64,6 @@ record options:
   --chaos-rate <r>     fault rate in [0,1] (default 0.01 when armed)
   --mem-budget <bytes> arm the memory governor
   --supervise          arm the slice supervisor (implied by chaos)
-  --plan               install the ahead-of-time superblock plan
   --tag <str>          free-form provenance tag stored in the header
 
 replay options:
@@ -137,7 +136,6 @@ fn parse_record_args(args: &[String]) -> Result<RecordArgs, String> {
     let mut chaos_rate = 0.01f64;
     let mut mem_budget = None;
     let mut supervise = false;
-    let mut plan = false;
     let mut tag = String::new();
 
     let mut iter = args.iter();
@@ -178,7 +176,6 @@ fn parse_record_args(args: &[String]) -> Result<RecordArgs, String> {
                 )
             }
             "--supervise" => supervise = true,
-            "--plan" => plan = true,
             "--tag" => tag = value("--tag")?,
             "--emit-report" => emit_report = Some(value("--emit-report")?),
             other if !other.starts_with('-') && workload.is_none() => {
@@ -199,7 +196,6 @@ fn parse_record_args(args: &[String]) -> Result<RecordArgs, String> {
     recipe.chaos = chaos_seed.map(|seed| FailPlan::new(seed, chaos_rate));
     recipe.mem_budget = mem_budget;
     recipe.supervise = supervise;
-    recipe.plan = plan.then(PlanKnobs::default);
     recipe.tag = tag;
     Ok(RecordArgs {
         recipe,
