@@ -5,7 +5,6 @@
 //! superpin [-sp 0|1] [-spmsec MSEC] [-spmp N] [-spsysrecs N] [-threads N]
 //!          -t icount1|icount2|dcache|itrace|branch|mem|sampler
 //!          -- <benchmark> [tiny|small|medium|large]
-//! superpin --emit-json [PATH] [--scale SCALE]
 //! ```
 //!
 //! Examples:
@@ -15,14 +14,11 @@
 //! superpin -sp 1 -spmsec 500 -spmp 16 -t icount1 -- gcc medium
 //! superpin -sp 0 -t dcache -- mcf small        # traditional Pin mode
 //! superpin -threads 4 -t icount1 -- gcc medium # 4 host worker threads
-//! superpin --emit-json BENCH_parallel.json     # wall-clock tracker
 //! ```
 //!
 //! `-threads N` fans slice execution out over N host worker threads; the
 //! report is bit-identical to `-threads 1` (see the parallel-runner
-//! section in DESIGN.md). `--emit-json` runs the serial-vs-parallel
-//! wall-clock tracker over a fixed benchmark set and writes the
-//! `BENCH_parallel.json` tracking file instead of running one tool.
+//! section in DESIGN.md).
 //!
 //! Chaos testing (DESIGN.md §4.8): `--chaos-seed N` arms the seeded
 //! failpoint registry and slice supervisor; `--chaos-rate F` sets the
@@ -57,13 +53,9 @@ struct Options {
     chaos_rate: Option<f64>,
     watchdog_factor: u64,
     mem_budget: Option<u64>,
-    emit_json: Option<String>,
-    tag: Option<String>,
-    perf_guard: Option<(String, String)>,
     tool: String,
     benchmark: String,
     scale: Scale,
-    scale_explicit: bool,
 }
 
 /// Typed command-line rejection. Each variant renders a specific
@@ -127,9 +119,6 @@ fn usage() -> ! {
         "usage: superpin [-sp 0|1] [-spmsec MSEC] [-spmp N] [-spsysrecs N] [-threads N] [-gantt] \
          [--chaos-seed N] [--chaos-rate F] [--watchdog-factor K] [--mem-budget BYTES[k|m|g]] \
          -t TOOL -- BENCHMARK [tiny|small|medium|large]\n\
-         \x20      superpin --emit-json [PATH] [--tag KEY] [--scale tiny|small|medium|large] \
-         [--mem-budget BYTES[k|m|g]]\n\
-         \x20      superpin --perf-guard FRESH.json BASELINE.json\n\
          tools: icount1 icount2 dcache dcache-assoc icache bblcount insmix itrace branch mem sampler"
     );
     std::process::exit(2);
@@ -174,15 +163,11 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
         chaos_rate: None,
         watchdog_factor: 8,
         mem_budget: None,
-        emit_json: None,
-        tag: None,
-        perf_guard: None,
         tool: String::new(),
         benchmark: String::new(),
         scale: Scale::Small,
-        scale_explicit: false,
     };
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     let mut after_dashes = Vec::new();
     // `flag value` with a typed error for missing/unparseable values.
     fn value<'a, I: Iterator<Item = &'a String>, V: std::str::FromStr>(
@@ -201,7 +186,17 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
         match arg.as_str() {
             "-sp" => {
                 let v = iter.next().ok_or(ArgError::MissingValue("-sp"))?;
-                options.sp = v != "0";
+                options.sp = match v.as_str() {
+                    "0" => false,
+                    "1" => true,
+                    _ => {
+                        return Err(ArgError::InvalidValue {
+                            flag: "-sp",
+                            value: v.clone(),
+                            expected: "0 or 1",
+                        })
+                    }
+                };
             }
             "-spmsec" => options.spmsec = value(&mut iter, "-spmsec", "milliseconds")?,
             "-spmp" => options.spmp = value(&mut iter, "-spmp", "a slice count")?,
@@ -240,33 +235,6 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
                 })?;
                 options.mem_budget = Some(bytes);
             }
-            "--emit-json" => {
-                // Optional path operand; defaults to BENCH_parallel.json.
-                let path = match iter.peek() {
-                    Some(next) if !next.starts_with('-') => iter.next().cloned(),
-                    _ => None,
-                };
-                options.emit_json = Some(path.unwrap_or_else(|| "BENCH_parallel.json".to_owned()));
-            }
-            "--scale" => {
-                let v = iter.next().ok_or(ArgError::MissingValue("--scale"))?;
-                options.scale = parse_scale(v)?;
-                options.scale_explicit = true;
-            }
-            "--tag" => {
-                options.tag = Some(iter.next().ok_or(ArgError::MissingValue("--tag"))?.clone());
-            }
-            "--perf-guard" => {
-                let fresh = iter
-                    .next()
-                    .ok_or(ArgError::MissingValue("--perf-guard"))?
-                    .clone();
-                let baseline = iter
-                    .next()
-                    .ok_or(ArgError::MissingValue("--perf-guard"))?
-                    .clone();
-                options.perf_guard = Some((fresh, baseline));
-            }
             "-t" => {
                 options.tool = iter.next().ok_or(ArgError::MissingValue("-t"))?.clone();
             }
@@ -276,16 +244,12 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
             other => return Err(ArgError::UnknownFlag(other.to_owned())),
         }
     }
-    if options.emit_json.is_some() || options.perf_guard.is_some() {
-        return Ok(options);
-    }
     if after_dashes.is_empty() || options.tool.is_empty() {
         return Err(ArgError::MissingBenchmarkOrTool);
     }
     options.benchmark = after_dashes[0].clone();
     if let Some(scale) = after_dashes.get(1) {
         options.scale = parse_scale(scale)?;
-        options.scale_explicit = true;
     }
     Ok(options)
 }
@@ -297,7 +261,7 @@ fn parse_scale(text: &str) -> Result<Scale, ArgError> {
         "medium" => Ok(Scale::Medium),
         "large" => Ok(Scale::Large),
         other => Err(ArgError::InvalidValue {
-            flag: "--scale",
+            flag: "scale",
             value: other.to_owned(),
             expected: "tiny|small|medium|large",
         }),
@@ -379,142 +343,8 @@ fn run_super<T: SuperTool>(
     report
 }
 
-/// The history key for an `--emit-json` run: the `--tag` string when
-/// given, otherwise the current git short SHA, otherwise `untagged`.
-fn history_key(options: &Options) -> String {
-    if let Some(tag) = &options.tag {
-        return tag.clone();
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|sha| sha.trim().to_owned())
-        .filter(|sha| !sha.is_empty())
-        .unwrap_or_else(|| "untagged".to_owned())
-}
-
-/// `--perf-guard FRESH BASELINE`: compare geomean throughput
-/// in a fresh `--emit-json` file against a checked-in baseline snapshot
-/// and fail (exit 1) on a >10% regression. Runs no simulation itself,
-/// so CI can reuse the tracker output it just produced.
-fn run_perf_guard(fresh_path: &str, baseline_path: &str) -> ! {
-    const FIELD: &str = "geomean_throughput_mcps";
-    const ALLOWED_REGRESSION: f64 = 0.10;
-    let read = |path: &str| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("perf-guard: read {path}: {e}");
-            std::process::exit(1);
-        })
-    };
-    let number = |path: &str, json: &str| {
-        superpin_bench::parallel::extract_number(json, FIELD).unwrap_or_else(|| {
-            eprintln!("perf-guard: no `{FIELD}` field in {path}");
-            std::process::exit(1);
-        })
-    };
-    let fresh = number(fresh_path, &read(fresh_path));
-    let baseline = number(baseline_path, &read(baseline_path));
-    let floor = baseline * (1.0 - ALLOWED_REGRESSION);
-    println!(
-        "perf-guard: {FIELD} fresh {fresh:.3} vs baseline {baseline:.3} \
-         (floor {floor:.3}, {:.0}% regression allowed)",
-        ALLOWED_REGRESSION * 100.0
-    );
-    if fresh < floor {
-        eprintln!(
-            "perf-guard: geomean throughput regressed {:.1}% (> {:.0}% allowed)",
-            100.0 * (1.0 - fresh / baseline),
-            ALLOWED_REGRESSION * 100.0
-        );
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
 fn main() {
     let options = parse_args();
-    if let Some((fresh, baseline)) = &options.perf_guard {
-        run_perf_guard(fresh, baseline);
-    }
-    if let Some(path) = &options.emit_json {
-        // Wall-clock tracker mode: serial vs parallel over a fixed set.
-        let scale = if options.scale_explicit {
-            options.scale
-        } else {
-            Scale::Medium
-        };
-        let rows = superpin_bench::parallel::run_parallel_bench(
-            scale,
-            superpin_bench::parallel::DEFAULT_SET,
-            options.mem_budget,
-        );
-        print!("{}", superpin_bench::parallel::render_parallel(&rows));
-        // Service-mode rows: the fixed two-tenant mix at a tight fleet
-        // budget. Always tiny scale — it tracks scheduler cost, not
-        // guest throughput.
-        let fleet = superpin_bench::fleet::run_fleet_bench();
-        print!("{}", superpin_bench::fleet::render_fleet(&fleet));
-        // Appending (not clobbering) the history array keeps the perf
-        // trajectory across PRs; same-key reruns replace their entry.
-        let previous = std::fs::read_to_string(path).ok();
-        let json = superpin_bench::parallel::parallel_to_json_with_history(
-            scale,
-            &rows,
-            &history_key(&options),
-            previous.as_deref(),
-        );
-        let json = superpin_bench::fleet::splice_fleet_section(
-            &json,
-            &superpin_bench::fleet::fleet_to_json(&fleet),
-        );
-        superpin_replay::atomic_write(path, (json + "\n").as_bytes())
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-        if rows.iter().any(|row| !row.identical) {
-            eprintln!("determinism violation: parallel or supervised report differed from serial");
-            std::process::exit(1);
-        }
-        // Bench guard: supervision with chaos disabled must stay within
-        // wall-clock noise of the plain serial baseline (checkpointing
-        // is one deep clone per slice wake, amortized over the slice's
-        // whole life).
-        let overhead = superpin_bench::parallel::geomean_supervisor_overhead(&rows);
-        if overhead > 1.5 {
-            eprintln!("supervisor overhead {overhead:.2}x exceeds the 1.5x noise bound");
-            std::process::exit(1);
-        }
-        // Bench guard: streaming the replay log must stay cheap — the
-        // recorded run's wall clock within 1.25x geomean of plain runs.
-        let record_overhead = superpin_bench::parallel::geomean_record_overhead(&rows);
-        if record_overhead > 1.25 {
-            eprintln!("record overhead {record_overhead:.2}x exceeds the 1.25x bound");
-            std::process::exit(1);
-        }
-        // Fleet guards: the service scheduler must be deterministic
-        // across thread counts, and must not cost more than 1.5x the
-        // same jobs run serially.
-        if !fleet.identical {
-            eprintln!("determinism violation: fleet reports differed between 1 and 4 threads");
-            std::process::exit(1);
-        }
-        let fleet_overhead = fleet.fleet_overhead();
-        if fleet_overhead > 1.5 {
-            eprintln!("fleet overhead {fleet_overhead:.2}x vs serial jobs exceeds the 1.5x bound");
-            std::process::exit(1);
-        }
-        // Crash durability must stay cheap: journaling every settled
-        // round (commit markers on, fsync off) may not slow the fleet
-        // more than 1.15x.
-        let wal_overhead = fleet.wal_overhead();
-        if wal_overhead > 1.15 {
-            eprintln!("wal overhead {wal_overhead:.2}x vs bare fleet exceeds the 1.15x bound");
-            std::process::exit(1);
-        }
-        return;
-    }
     let Some(spec) = find(&options.benchmark) else {
         eprintln!("unknown benchmark `{}`", options.benchmark);
         std::process::exit(2);
@@ -757,7 +587,6 @@ mod tests {
         assert_eq!(options.threads, 4);
         assert_eq!(options.benchmark, "gcc");
         assert_eq!(options.scale, Scale::Tiny);
-        assert!(options.scale_explicit);
         assert_eq!(options.mem_budget, None);
     }
 
@@ -837,35 +666,23 @@ mod tests {
     }
 
     #[test]
-    fn plan_flag_is_unknown() {
-        assert_eq!(
-            parse_options(&args(&["--plan", "on", "-t", "icount2", "--", "gcc"])),
-            Err(ArgError::UnknownFlag("--plan".to_owned()))
-        );
-    }
-
-    #[test]
-    fn tag_and_perf_guard_parse() {
-        let options =
-            parse_options(&args(&["--emit-json", "out.json", "--tag", "pr7"])).expect("parse");
-        assert_eq!(options.emit_json.as_deref(), Some("out.json"));
-        assert_eq!(options.tag.as_deref(), Some("pr7"));
-
-        let options =
-            parse_options(&args(&["--perf-guard", "fresh.json", "base.json"])).expect("parse");
-        assert_eq!(
-            options.perf_guard,
-            Some(("fresh.json".to_owned(), "base.json".to_owned()))
-        );
-
-        assert_eq!(
-            parse_options(&args(&["--perf-guard", "fresh.json"])),
-            Err(ArgError::MissingValue("--perf-guard"))
-        );
-        assert_eq!(
-            parse_options(&args(&["--emit-json", "x.json", "--tag"])),
-            Err(ArgError::MissingValue("--tag"))
-        );
+    fn retired_flags_are_unknown() {
+        for (flag, rest) in [
+            ("--plan", &["on"][..]),
+            ("--emit-json", &[]),
+            ("--perf-guard", &["fresh.json", "base.json"]),
+            ("--tag", &["x"]),
+            ("--scale", &["small"]),
+        ] {
+            let mut line = vec![flag];
+            line.extend(rest);
+            line.extend(["-t", "icount2", "--", "gcc"]);
+            assert_eq!(
+                parse_options(&args(&line)),
+                Err(ArgError::UnknownFlag(flag.to_owned())),
+                "{flag}"
+            );
+        }
     }
 
     #[test]
@@ -881,6 +698,14 @@ mod tests {
         assert_eq!(
             parse_options(&args(&["-t", "icount2"])),
             Err(ArgError::MissingBenchmarkOrTool)
+        );
+        assert_eq!(
+            parse_options(&args(&["-sp", "banana", "-t", "icount1", "--", "gcc"])),
+            Err(ArgError::InvalidValue {
+                flag: "-sp",
+                value: "banana".to_owned(),
+                expected: "0 or 1",
+            })
         );
     }
 }

@@ -30,8 +30,6 @@
 //! the paper's regime. Tables print paper-equivalent seconds.
 
 pub mod figures;
-pub mod fleet;
 pub mod json;
-pub mod parallel;
 pub mod render;
 pub mod runs;

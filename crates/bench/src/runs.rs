@@ -153,52 +153,11 @@ pub fn run_superpin<T: SuperTool>(
     cfg: SuperPinConfig,
     name: &str,
 ) -> SuperPinReport {
-    run_superpin_profiled(program, tool, shared, cfg, name).0
-}
-
-/// Like [`run_superpin`], but also returns the host-side wall-clock
-/// phase profile (used by the parallel wall-clock tracker).
-///
-/// # Panics
-///
-/// Panics on simulator errors.
-pub fn run_superpin_profiled<T: SuperTool>(
-    program: &superpin_isa::Program,
-    tool: T,
-    shared: &SharedMem,
-    cfg: SuperPinConfig,
-    name: &str,
-) -> (SuperPinReport, superpin::HostProfile) {
     let process = Process::load(1, program).expect("load");
     SuperPinRunner::new(process, tool, shared.clone(), cfg)
         .unwrap_or_else(|e| panic!("{name} superpin setup: {e}"))
-        .run_profiled()
+        .run()
         .unwrap_or_else(|e| panic!("{name} superpin: {e}"))
-}
-
-/// Like [`run_superpin_profiled`], but with a run recorder attached
-/// streaming the nondeterministic surface into an in-memory sink (the
-/// events are dropped) — the wall-clock cost of recording, which the
-/// parallel tracker reports as `record_overhead`.
-///
-/// # Panics
-///
-/// Panics on simulator errors.
-pub fn run_superpin_recorded<T: SuperTool>(
-    program: &superpin_isa::Program,
-    tool: T,
-    shared: &SharedMem,
-    cfg: SuperPinConfig,
-    name: &str,
-) -> (SuperPinReport, superpin::HostProfile) {
-    let process = Process::load(1, program).expect("load");
-    let mut runner = SuperPinRunner::new(process, tool, shared.clone(), cfg)
-        .unwrap_or_else(|e| panic!("{name} superpin setup: {e}"));
-    let sink = superpin_replay::EventSink::new();
-    runner.set_recorder(sink.recorder());
-    runner
-        .run_profiled()
-        .unwrap_or_else(|e| panic!("{name} superpin (recorded): {e}"))
 }
 
 /// Runs a closure over every catalog benchmark on `threads` worker

@@ -1,20 +1,19 @@
-//! Dependency-free JSON helpers shared by the bench harness and the
-//! replay verifier.
+//! Dependency-free JSON for run reports.
 //!
-//! The repo emits and re-reads its own JSON (tracking files, CI guards,
-//! replay verification) without a serde dependency — the build is
-//! offline. These helpers are the *reading* half: just enough parsing
-//! to pull numbers and arrays back out of JSON this codebase emitted.
-//! [`report_to_json`] is the writing half for run reports, used by
-//! `spin-replay` so recorded and replayed reports can be byte-diffed.
+//! [`report_to_json`] writes a report, so `spin-replay` and the service
+//! can byte-diff recorded, replayed and resumed reports without a serde
+//! dependency (the build is offline). [`first_report_difference`] reads
+//! two such reports back and names the first field where they differ;
+//! the private readers below parse just enough of JSON this codebase
+//! emitted to serve it.
 
 use std::fmt::Write as _;
 use superpin::{SliceEnd, SliceReport, SuperPinReport};
 
 /// Finds the raw text between the brackets of `"field":[...]` in
 /// `json`, honoring nesting and string literals. `None` when the field
-/// is absent (e.g. a pre-history tracking file).
-pub fn extract_array<'a>(json: &'a str, field: &str) -> Option<&'a str> {
+/// is absent.
+fn extract_array<'a>(json: &'a str, field: &str) -> Option<&'a str> {
     let needle = format!("\"{field}\":[");
     let start = json.find(&needle)? + needle.len();
     let mut depth = 1usize;
@@ -47,7 +46,7 @@ pub fn extract_array<'a>(json: &'a str, field: &str) -> Option<&'a str> {
 
 /// Splits a JSON array body into its top-level elements (text slices),
 /// honoring nesting and string literals.
-pub fn split_top_level(body: &str) -> Vec<&str> {
+fn split_top_level(body: &str) -> Vec<&str> {
     let mut parts = Vec::new();
     let mut depth = 0usize;
     let mut in_string = false;
@@ -81,9 +80,9 @@ pub fn split_top_level(body: &str) -> Vec<&str> {
 }
 
 /// Reads the numeric value of a top-level `"field":<number>` pair from
-/// emitted JSON — enough parsing for the CI perf guard to compare a
-/// fresh run against the checked-in baseline without a JSON dependency.
-pub fn extract_number(json: &str, field: &str) -> Option<f64> {
+/// emitted JSON — enough parsing for [`first_report_difference`] to
+/// compare two reports' scalar fields.
+fn extract_number(json: &str, field: &str) -> Option<f64> {
     let needle = format!("\"{field}\":");
     let start = json.find(&needle)? + needle.len();
     let rest = &json[start..];
