@@ -1,15 +1,17 @@
-//! Record/replay for **fleet** (multi-tenant service) runs.
+//! Record/verify for **fleet** (multi-tenant service) runs.
 //!
 //! A `spin-serve` run's nondeterministic surface is tiny by design:
 //! every scheduling decision — admission order, fair-share selection,
 //! eviction ladder walks, epoch interleaving — is a pure function of
-//! the job file and the fleet knobs. So the fleet log records exactly
-//! that: the verbatim job-spec text, the knobs, the decision event
-//! stream the scheduler emitted, and the final per-job outcome lines.
-//! Replay re-parses the stored spec, re-runs the fleet (at *any*
-//! `--threads`), and compares the fresh event stream and outcomes
-//! byte-for-byte against the log — the fleet analogue of the per-run
-//! `.splog` verification.
+//! the job file and the fleet knobs. So the fleet journal (an `SPWAL`
+//! file, see [`crate::wal`]) records exactly that: a header frame with
+//! the [`FleetRecipe`] (the verbatim job-spec text and the knobs), then
+//! one committed [`RoundFrame`] per settled round, pinning selections,
+//! charges, every decision event, and the tenant ledger.
+//! [`recover_fleet_wal`] reads back the committed prefix; `--resume`
+//! re-runs the fleet (at *any* `--threads`) and checks each fresh round
+//! against its frame with [`diff_round`]. Resuming a complete journal
+//! is how a finished fleet is replayed.
 
 use superpin_fault::FailPlan;
 
@@ -17,20 +19,12 @@ use crate::wal::{
     salvage, FrameDamage, WalSalvage, WAL_FRAME_COMMIT, WAL_FRAME_END, WAL_FRAME_HEADER,
     WAL_FRAME_OVERHEAD, WAL_FRAME_RECORD,
 };
-use crate::wire::{
-    put_bool, put_opt_u64, put_str, put_u16, put_u32, put_u64, put_u8, CodecError, Reader,
-};
-
-/// Magic prefix of an encoded fleet log.
-pub const FLEET_MAGIC: &[u8; 4] = b"SPFL";
-
-/// Fleet log format version.
-pub const FLEET_VERSION: u16 = 1;
+use crate::wire::{put_bool, put_opt_u64, put_str, put_u32, put_u64, put_u8, CodecError, Reader};
 
 /// Everything needed to rebuild a fleet run's inputs: the job-spec
 /// text verbatim plus the CLI knobs that shape scheduling. The
-/// recorded thread count is informational only — replay may run at a
-/// different `--threads` and must still match.
+/// recorded thread count is informational only — a resume may run at
+/// a different `--threads` and must still match.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetRecipe {
     /// The job file exactly as parsed (tenants + jobs + arrivals).
@@ -48,8 +42,7 @@ pub struct FleetRecipe {
 }
 
 impl FleetRecipe {
-    /// Appends the recipe's wire form (shared by the flat SPFL log and
-    /// the WAL header frame).
+    /// Appends the recipe's wire form (the WAL header frame's payload).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         put_str(out, &self.spec_text);
         put_u32(out, self.threads);
@@ -138,8 +131,7 @@ pub enum FleetEvent {
     },
 }
 
-/// Appends one event's wire form (shared by the flat SPFL log and the
-/// WAL round frames).
+/// Appends one event's wire form (inside a WAL round frame).
 fn put_fleet_event(out: &mut Vec<u8>, event: &FleetEvent) {
     match *event {
         FleetEvent::Admit {
@@ -175,11 +167,11 @@ fn put_fleet_event(out: &mut Vec<u8>, event: &FleetEvent) {
     }
 }
 
-/// Decodes one event written by [`put_fleet_event`].
 /// Smallest encoded [`FleetEvent`]: tag, job, and fleet time (`Defer`
 /// and `Complete`).
 const MIN_FLEET_EVENT_BYTES: usize = 1 + 4 + 8;
 
+/// Decodes one event written by [`put_fleet_event`].
 fn get_fleet_event(reader: &mut Reader) -> Result<FleetEvent, CodecError> {
     let tag = reader.u8("event tag")?;
     Ok(match tag {
@@ -208,128 +200,6 @@ fn get_fleet_event(reader: &mut Reader) -> Result<FleetEvent, CodecError> {
             })
         }
     })
-}
-
-/// A complete fleet log: recipe, decision trace, and the per-job
-/// outcome JSON lines in job order.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FleetLog {
-    /// Inputs (see [`FleetRecipe`]).
-    pub recipe: FleetRecipe,
-    /// The scheduler's decision trace.
-    pub events: Vec<FleetEvent>,
-    /// Per-job outcome lines (deterministic JSON), job-id order.
-    pub outcomes: Vec<String>,
-}
-
-impl FleetLog {
-    /// Serializes the log to its wire form.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(FLEET_MAGIC);
-        put_u16(&mut out, FLEET_VERSION);
-        self.recipe.encode_into(&mut out);
-        put_u32(&mut out, self.events.len() as u32);
-        for event in &self.events {
-            put_fleet_event(&mut out, event);
-        }
-        put_u32(&mut out, self.outcomes.len() as u32);
-        for line in &self.outcomes {
-            put_str(&mut out, line);
-        }
-        out
-    }
-
-    /// Decodes a log, rejecting unknown magic/version, bad tags, and
-    /// truncation.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] describing the first malformed field.
-    pub fn decode(bytes: &[u8]) -> Result<FleetLog, CodecError> {
-        let mut reader = Reader::new(bytes);
-        let magic = [
-            reader.u8("magic")?,
-            reader.u8("magic")?,
-            reader.u8("magic")?,
-            reader.u8("magic")?,
-        ];
-        if &magic != FLEET_MAGIC {
-            return Err(CodecError::BadHeader {
-                detail: format!("magic {magic:?} is not a fleet log"),
-            });
-        }
-        let version = reader.u16("version")?;
-        if version != FLEET_VERSION {
-            return Err(CodecError::BadHeader {
-                detail: format!("fleet log version {version}, this build reads {FLEET_VERSION}"),
-            });
-        }
-        let recipe = FleetRecipe::decode_from(&mut reader)?;
-        let event_count = reader.count("event count", MIN_FLEET_EVENT_BYTES)?;
-        let mut events = Vec::with_capacity(event_count);
-        for _ in 0..event_count {
-            events.push(get_fleet_event(&mut reader)?);
-        }
-        // length prefix per line
-        let outcome_count = reader.count("outcome count", 4)?;
-        let mut outcomes = Vec::with_capacity(outcome_count);
-        for _ in 0..outcome_count {
-            outcomes.push(reader.str("outcome line")?);
-        }
-        Ok(FleetLog {
-            recipe,
-            events,
-            outcomes,
-        })
-    }
-}
-
-/// First divergence between a recorded fleet log and a fresh re-run's
-/// (events, outcomes); `None` means bit-identical. The description
-/// names the diverging event index or job line so a CI failure reads
-/// without opening the log.
-pub fn diff_fleet(
-    recorded: &FleetLog,
-    events: &[FleetEvent],
-    outcomes: &[String],
-) -> Option<String> {
-    for (index, (old, new)) in recorded.events.iter().zip(events.iter()).enumerate() {
-        if old != new {
-            return Some(format!(
-                "event {index}: recorded {old:?}, replay produced {new:?}"
-            ));
-        }
-    }
-    if recorded.events.len() != events.len() {
-        return Some(format!(
-            "event count: recorded {}, replay produced {}",
-            recorded.events.len(),
-            events.len()
-        ));
-    }
-    for (index, (old, new)) in recorded.outcomes.iter().zip(outcomes.iter()).enumerate() {
-        if old != new {
-            let width = old
-                .chars()
-                .zip(new.chars())
-                .take_while(|(a, b)| a == b)
-                .count();
-            return Some(format!(
-                "job {index} outcome diverges at byte {width}: recorded `{}`, replay `{}`",
-                &old[width.min(old.len())..(width + 40).min(old.len())],
-                &new[width.min(new.len())..(width + 40).min(new.len())],
-            ));
-        }
-    }
-    if recorded.outcomes.len() != outcomes.len() {
-        return Some(format!(
-            "outcome count: recorded {}, replay produced {}",
-            recorded.outcomes.len(),
-            outcomes.len()
-        ));
-    }
-    None
 }
 
 /// Everything one settled fleet round changed, journalled as one WAL
@@ -594,112 +464,4 @@ pub fn recover_fleet_wal(bytes: &[u8]) -> Result<FleetRecovery, CodecError> {
         .filter(|frame| frame.offset >= recovery.committed_len)
         .count();
     Ok(recovery)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> FleetLog {
-        FleetLog {
-            recipe: FleetRecipe {
-                spec_text: "tenant a weight=3\njob tenant=a workload=gcc\n".to_owned(),
-                threads: 4,
-                slots: 2,
-                fleet_budget: Some(1 << 20),
-                chaos: Some(FailPlan::new(3, 0.02)),
-                spmsec: 1000,
-            },
-            events: vec![
-                FleetEvent::Admit {
-                    job: 0,
-                    fleet_now: 0,
-                    budget: None,
-                },
-                FleetEvent::Defer {
-                    job: 1,
-                    fleet_now: 500,
-                },
-                FleetEvent::Evict {
-                    job: 0,
-                    bytes: 4096,
-                    fleet_now: 600,
-                },
-                FleetEvent::Admit {
-                    job: 1,
-                    fleet_now: 700,
-                    budget: Some(65536),
-                },
-                FleetEvent::Complete {
-                    job: 0,
-                    fleet_now: 9000,
-                },
-            ],
-            outcomes: vec!["{\"job\":0}".to_owned(), "{\"job\":1}".to_owned()],
-        }
-    }
-
-    #[test]
-    fn roundtrips() {
-        let log = sample();
-        let decoded = FleetLog::decode(&log.encode()).expect("decode");
-        assert_eq!(decoded, log);
-    }
-
-    #[test]
-    fn roundtrips_minimal() {
-        let log = FleetLog {
-            recipe: FleetRecipe {
-                spec_text: String::new(),
-                threads: 1,
-                slots: 1,
-                fleet_budget: None,
-                chaos: None,
-                spmsec: 1000,
-            },
-            events: Vec::new(),
-            outcomes: Vec::new(),
-        };
-        assert_eq!(FleetLog::decode(&log.encode()).expect("decode"), log);
-    }
-
-    #[test]
-    fn rejects_bad_magic_and_truncation() {
-        let bytes = sample().encode();
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            FleetLog::decode(&bad),
-            Err(CodecError::BadHeader { .. })
-        ));
-        for len in 0..bytes.len() {
-            assert!(
-                FleetLog::decode(&bytes[..len]).is_err(),
-                "prefix of {len} bytes decoded"
-            );
-        }
-    }
-
-    #[test]
-    fn diff_pinpoints_first_divergence() {
-        let log = sample();
-        assert_eq!(diff_fleet(&log, &log.events, &log.outcomes), None);
-
-        let mut events = log.events.clone();
-        events[1] = FleetEvent::Defer {
-            job: 1,
-            fleet_now: 501,
-        };
-        let report = diff_fleet(&log, &events, &log.outcomes).expect("diverges");
-        assert!(report.starts_with("event 1:"), "{report}");
-
-        let mut outcomes = log.outcomes.clone();
-        outcomes[1] = "{\"job\":9}".to_owned();
-        let report = diff_fleet(&log, &log.events, &outcomes).expect("diverges");
-        assert!(report.starts_with("job 1 outcome"), "{report}");
-
-        let short = &log.events[..3];
-        let report = diff_fleet(&log, short, &log.outcomes).expect("diverges");
-        assert!(report.starts_with("event count"), "{report}");
-    }
 }

@@ -8,7 +8,8 @@
 //!
 //! A live run's complete nondeterministic surface — syscall effects,
 //! epoch plans, governed fork admissions, and the fault-recovery
-//! ledger — streams into a versioned binary log (`.splog`); see
+//! ledger — streams into a versioned binary log (`.splog`, framed like
+//! the `SPWAL` journal, see [`log`] and [`wal`]); see
 //! [`superpin::record`] for what is captured and why fault firings are
 //! stored as the plan rather than per firing. A [`ReplayLog`] holds the
 //! parsed log: the [`RunRecipe`] (everything needed to rebuild the
@@ -20,9 +21,14 @@
 //! lockstep and bisects their first divergence to an epoch barrier,
 //! quantum window, and instruction range.
 //!
+//! Service-mode fleets journal to the same frame layer: [`fleet`] holds
+//! the `SPWAL` header recipe and per-round frames that `spin-serve
+//! --resume` re-verifies, at any thread count.
+//!
 //! The `spin-replay` CLI (in `superpin-tools`) fronts all of this:
 //! `record` emits a `.splog`, `replay` re-executes and verifies, `diff`
-//! pinpoints the first divergence between two logs.
+//! pinpoints the first divergence between two logs, and `fsck` takes a
+//! frame census of a `.splog` or `SPWAL` file.
 
 pub mod codec;
 pub mod differ;
@@ -43,8 +49,7 @@ pub use differ::{DiffOutcome, DivergenceReport, RegDelta};
 pub use drive::{build_runner, record_run, replay_run, verify_replay, ReplayError};
 pub use events::{EventSink, EventStream};
 pub use fleet::{
-    diff_fleet, diff_round, recover_fleet_wal, FleetEvent, FleetLog, FleetRecipe, FleetRecovery,
-    RoundFrame,
+    diff_round, recover_fleet_wal, FleetEvent, FleetRecipe, FleetRecovery, RoundFrame,
 };
 pub use log::{ReplayLog, MAGIC, VERSION};
 pub use recipe::RunRecipe;

@@ -247,8 +247,9 @@ mod tests {
     }
 
     /// A version-1 log (whose recipe still carried a whole-program
-    /// analysis flag before the tag) is refused at the header with a typed error
-    /// by both the strict decoder and the salvage scan.
+    /// analysis flag before the tag) and a version-2 log (CRC-less
+    /// frames) are refused at the header with a typed error by both the
+    /// strict decoder and the salvage walk.
     #[test]
     fn version_one_log_is_rejected_with_bad_header() {
         let recipe = RunRecipe::standard("gcc", Scale::Tiny);
@@ -256,29 +257,32 @@ mod tests {
         recipe.encode(&mut current);
         let mut tag = Vec::new();
         put_str(&mut tag, &recipe.tag);
-        let mut payload = current[..current.len() - tag.len()].to_vec();
-        put_u8(&mut payload, 1);
-        put_u32(&mut payload, 1);
-        put_u64(&mut payload, 96);
-        payload.extend_from_slice(&tag);
+        let mut v1_payload = current[..current.len() - tag.len()].to_vec();
+        put_u8(&mut v1_payload, 1);
+        put_u32(&mut v1_payload, 1);
+        put_u64(&mut v1_payload, 96);
+        v1_payload.extend_from_slice(&tag);
 
-        let mut v1 = crate::log::MAGIC.to_vec();
-        v1.extend_from_slice(&1u16.to_le_bytes());
-        put_u8(&mut v1, 0x01);
-        put_u32(&mut v1, payload.len() as u32);
-        v1.extend_from_slice(&payload);
-        put_u8(&mut v1, 0x04);
-        put_u32(&mut v1, 0);
+        for (version, payload) in [(1u16, &v1_payload), (2, &current)] {
+            let mut old = crate::log::MAGIC.to_vec();
+            old.extend_from_slice(&version.to_le_bytes());
+            put_u8(&mut old, 0x01);
+            put_u32(&mut old, payload.len() as u32);
+            old.extend_from_slice(payload);
+            put_u8(&mut old, 0x04);
+            put_u32(&mut old, 0);
 
-        for result in [
-            crate::log::ReplayLog::decode(&v1).map(|_| ()),
-            crate::log::scan(&v1).map(|_| ()),
-        ] {
-            match result {
-                Err(CodecError::BadHeader { detail }) => {
-                    assert!(detail.contains("version 1"), "{detail}")
+            for result in [
+                crate::log::ReplayLog::decode(&old).map(|_| ()),
+                crate::wal::salvage_frames(&old, crate::log::MAGIC, crate::log::VERSION)
+                    .map(|_| ()),
+            ] {
+                match result {
+                    Err(CodecError::BadHeader { detail }) => {
+                        assert!(detail.contains(&format!("version {version}")), "{detail}")
+                    }
+                    other => panic!("expected BadHeader, got {other:?}"),
                 }
-                other => panic!("expected BadHeader, got {other:?}"),
             }
         }
     }

@@ -1,11 +1,12 @@
-//! The crash-durable write-ahead log container (`SPWAL`).
+//! The crash-durable write-ahead log container (`SPWAL`) and the frame
+//! layer every on-disk container in this crate shares.
 //!
-//! The `.splog`/SPFL codecs assume a complete, well-formed file — fine
-//! for artifacts written in one shot at run end, useless for a journal
-//! that must survive being killed mid-write. This module is the
-//! durable counterpart: a streaming frame container where every frame
-//! carries its own CRC32 and an explicit commit marker, so a reader
-//! can always find the longest durable prefix of a torn file.
+//! A streaming frame container where every frame carries its own CRC32
+//! and a journal adds explicit commit markers, so a reader can always
+//! find the longest durable prefix of a torn file. The fleet journal is
+//! `SPWAL`; the single-run `.splog` recording (see [`crate::log`]) uses
+//! the same frames behind its own `SPLOG` preamble and is read by the
+//! same walk, [`salvage_frames`].
 //!
 //! Layout (all integers little-endian):
 //!
@@ -32,8 +33,8 @@
 //! sink — so chaos runs exercise the exact failure the salvage reader
 //! exists for.
 //!
-//! Reading goes through [`salvage`], which never hard-fails past the
-//! preamble: it walks frames until the first torn or corrupt one and
+//! Reading goes through [`salvage`] (the `SPWAL` preamble over
+//! [`salvage_frames`]), which never hard-fails past the preamble: it walks frames until the first torn or corrupt one and
 //! reports exactly what was recovered ([`WalSalvage`]) — intact
 //! frames, the last committed sequence number, the byte offset and
 //! nature of the damage.
@@ -96,7 +97,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Appends one whole frame — kind, length, payload, CRC over the
 /// preceding three — to `out`.
-fn encode_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+pub(crate) fn encode_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     let start = out.len();
     put_u8(out, kind);
     put_u32(
@@ -580,23 +581,41 @@ pub struct WalSalvage {
 /// (wrong magic, unknown version, or shorter than the preamble) —
 /// there is nothing to salvage without it.
 pub fn salvage(bytes: &[u8]) -> Result<WalSalvage, CodecError> {
+    salvage_frames(bytes, WAL_MAGIC, WAL_VERSION)
+}
+
+/// The frame walk behind [`salvage`], for any container on this frame
+/// layer: checks the `magic` + `version` preamble, then walks frames
+/// until the first torn or corrupt one. The `.splog` run log reads
+/// through here with its own preamble.
+///
+/// # Errors
+///
+/// [`CodecError::BadHeader`] when the preamble is not `magic` +
+/// `version` or the input is shorter than the preamble.
+pub fn salvage_frames(
+    bytes: &[u8],
+    magic: &[u8; 5],
+    version: u16,
+) -> Result<WalSalvage, CodecError> {
+    let name = String::from_utf8_lossy(magic);
     if bytes.len() < WAL_PREAMBLE_LEN {
         return Err(CodecError::BadHeader {
             detail: format!(
-                "{} bytes is shorter than the {WAL_PREAMBLE_LEN}-byte WAL preamble",
+                "{} bytes is shorter than the {WAL_PREAMBLE_LEN}-byte {name} preamble",
                 bytes.len()
             ),
         });
     }
-    if &bytes[..5] != WAL_MAGIC {
+    if &bytes[..5] != magic {
         return Err(CodecError::BadHeader {
-            detail: format!("magic {:?} is not SPWAL", &bytes[..5]),
+            detail: format!("magic {:?} is not {name}", &bytes[..5]),
         });
     }
-    let version = u16::from_le_bytes([bytes[5], bytes[6]]);
-    if version != WAL_VERSION {
+    let found = u16::from_le_bytes([bytes[5], bytes[6]]);
+    if found != version {
         return Err(CodecError::BadHeader {
-            detail: format!("WAL version {version}, this build reads {WAL_VERSION}"),
+            detail: format!("{name} version {found}, this build reads {version}"),
         });
     }
 

@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use crate::wal::FrameDamage;
+
 /// A malformed or truncated `.splog` byte stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodecError {
@@ -29,6 +31,8 @@ pub enum CodecError {
         /// Human-readable description.
         detail: String,
     },
+    /// The frame walk stopped at a torn or corrupt frame.
+    Damaged(FrameDamage),
 }
 
 impl fmt::Display for CodecError {
@@ -38,6 +42,7 @@ impl fmt::Display for CodecError {
             CodecError::BadTag { what, tag } => write!(f, "bad {what} tag {tag}"),
             CodecError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             CodecError::BadHeader { detail } => write!(f, "bad log header: {detail}"),
+            CodecError::Damaged(damage) => write!(f, "damaged log: {damage}"),
         }
     }
 }

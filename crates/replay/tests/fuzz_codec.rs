@@ -1,6 +1,6 @@
 //! Adversarial-input suite for every on-disk container this crate
-//! reads: `SPWAL` fleet journals, `.splog` recordings, and `SPFL`
-//! fleet logs.
+//! reads: `SPWAL` fleet journals and `.splog` recordings, both on one
+//! CRC-framed layer.
 //!
 //! The contract under fuzz: arbitrary byte flips and truncations may
 //! make a file undecodable, but they must **never panic a reader** —
@@ -11,10 +11,12 @@
 
 use proptest::prelude::*;
 use superpin::FailPlan;
-use superpin_replay::fleet::{recover_fleet_wal, FleetEvent, FleetLog, FleetRecipe, RoundFrame};
-use superpin_replay::log::{explain_decode_failure, scan};
-use superpin_replay::wal::{salvage, FsyncPolicy, MemSink, WalWriter, WAL_FRAME_RECORD};
-use superpin_replay::{CodecError, ReplayLog, RunRecipe};
+use superpin_replay::fleet::{recover_fleet_wal, FleetEvent, FleetRecipe, RoundFrame};
+use superpin_replay::log::explain_decode_failure;
+use superpin_replay::wal::{
+    salvage, salvage_frames, FsyncPolicy, MemSink, WalSalvage, WalWriter, WAL_FRAME_RECORD,
+};
+use superpin_replay::{CodecError, ReplayLog, RunRecipe, MAGIC, VERSION};
 use superpin_workloads::Scale;
 
 fn sample_recipe() -> FleetRecipe {
@@ -106,23 +108,10 @@ fn sample_splog() -> Vec<u8> {
     .encode()
 }
 
-fn sample_fleet_log() -> Vec<u8> {
-    FleetLog {
-        recipe: sample_recipe(),
-        events: vec![
-            FleetEvent::Admit {
-                job: 0,
-                fleet_now: 0,
-                budget: None,
-            },
-            FleetEvent::Complete {
-                job: 0,
-                fleet_now: 900,
-            },
-        ],
-        outcomes: vec!["{\"job\":0}".to_owned()],
-    }
-    .encode()
+/// The `.splog` walk: the shared frame walker behind the `SPLOG`
+/// preamble.
+fn walk_splog(bytes: &[u8]) -> Result<WalSalvage, CodecError> {
+    salvage_frames(bytes, MAGIC, VERSION)
 }
 
 /// Exhaustive truncation: a WAL cut at *every* byte offset — every
@@ -172,7 +161,7 @@ fn wal_truncated_at_every_offset_salvages_or_rejects() {
 
 /// Exhaustive truncation of a `.splog`: every cut either decodes (only
 /// the full file) or yields a typed error whose explanation names
-/// truncation or corruption; `scan` stays within bounds.
+/// truncation or corruption; the frame walk stays within bounds.
 #[test]
 fn splog_truncated_at_every_offset_explains_itself() {
     let log = sample_splog();
@@ -182,7 +171,7 @@ fn splog_truncated_at_every_offset_explains_itself() {
         let explained = explain_decode_failure(prefix, &err);
         assert!(!explained.is_empty());
         if cut >= 7 {
-            let scanned = scan(prefix).expect("preamble intact");
+            let scanned = walk_splog(prefix).expect("preamble intact");
             assert!(scanned.valid_len <= cut);
             assert!(
                 explained.contains("truncated") || explained.contains("corrupt"),
@@ -192,30 +181,55 @@ fn splog_truncated_at_every_offset_explains_itself() {
     }
 }
 
-/// Regression for an allocation abort: flipping bit 0 of the second
-/// event's tag turns `Complete` (13 bytes) into `Evict` (21 bytes), so
-/// the reader swallows the outcome count and the string's length prefix
-/// and then reads the outcome count from the text `{"jo` (1.87e9).
-/// That count once sized a ~45 GB `Vec::with_capacity`. The same bogus
-/// count planted in each count field of a round frame must also come
-/// back as a typed error.
+/// Every frame carries a CRC: a single bit flipped at *any* offset of a
+/// `.splog` — preamble, frame kind, length, payload, or CRC — never
+/// decodes to `Ok`.
+#[test]
+fn splog_single_bit_flip_never_decodes() {
+    let log = sample_splog();
+    assert!(ReplayLog::decode(&log).is_ok(), "the pristine log decodes");
+    for index in 0..log.len() {
+        for bit in 0..8 {
+            let mut flipped = log.clone();
+            flipped[index] ^= 1 << bit;
+            assert!(
+                ReplayLog::decode(&flipped).is_err(),
+                "bit {bit} of byte {index} flipped and the log still decoded"
+            );
+        }
+    }
+}
+
+/// Regression for an allocation abort: flipping bit 0 of an event's
+/// tag turns `Complete` (13 bytes) into `Evict` (21 bytes), so the
+/// event reader swallows the count that follows it and the next count
+/// is read from the middle of a later field. A count read that way
+/// from the text `{"jo` (1.87e9) once sized a ~45 GB
+/// `Vec::with_capacity`. Here the flip in a round frame's last event
+/// makes the usage count come from the high half of the first usage,
+/// planted as that text. The same bogus count planted in each count
+/// field of a round frame must also come back as a typed error.
 #[test]
 fn damaged_counts_are_typed_errors_not_allocations() {
-    let mut log = sample_fleet_log();
-    let complete = [3, 0, 0, 0, 0, 0x84, 0x03, 0, 0, 0, 0, 0, 0];
-    let tag = log
+    let bogus = u32::from_le_bytes(*b"{\"jo");
+    let mut round = sample_round(5);
+    round.usages[0] = u64::from(bogus) << 32;
+    let mut flipped = round.encode();
+    let mut complete = vec![3];
+    complete.extend_from_slice(&5u32.to_le_bytes());
+    complete.extend_from_slice(&(5 * 1717 + 3u64).to_le_bytes());
+    let tag = flipped
         .windows(complete.len())
         .position(|window| window == complete)
-        .expect("sample log holds the Complete event");
-    log[tag] ^= 1;
+        .expect("sample round holds the Complete event");
+    flipped[tag] ^= 1;
     assert_eq!(
-        FleetLog::decode(&log),
+        RoundFrame::decode(&flipped),
         Err(CodecError::Truncated {
-            what: "outcome count"
+            what: "usage count"
         })
     );
 
-    let bogus = u32::from_le_bytes(*b"{\"jo");
     let frame = sample_round(5).encode();
     // Offsets of the selection, delta, event, and usage counts: two
     // selected ids, two deltas, and two usages.
@@ -284,23 +298,7 @@ proptest! {
             let explained = explain_decode_failure(&log, &err);
             prop_assert!(!explained.is_empty());
         }
-        let _ = scan(&log);
-    }
-
-    /// Any single bit flip or truncation of an `SPFL` fleet log:
-    /// typed error or success, never a panic.
-    #[test]
-    fn prop_fleet_log_survives_damage(
-        pos in 0usize..8192,
-        bit in 0u32..8,
-        cut in 0usize..8192,
-    ) {
-        let mut log = sample_fleet_log();
-        let index = pos % log.len();
-        log[index] ^= 1 << bit;
-        let _ = FleetLog::decode(&log);
-        let log = sample_fleet_log();
-        let _ = FleetLog::decode(&log[..cut % (log.len() + 1)]);
+        let _ = walk_splog(&log);
     }
 
     /// WAL frame payloads of arbitrary junk round-trip through the

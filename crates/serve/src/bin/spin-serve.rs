@@ -2,25 +2,24 @@
 //!
 //! Reads a job file (tenants + jobs + arrival schedule), runs the
 //! whole mix over one governed fleet, and prints the deterministic
-//! summary. `--emit-reports` streams per-job outcome JSON lines;
-//! `--record` writes a fleet log; `--replay` re-runs a recorded fleet
-//! (at any `--threads`) and byte-verifies the decision trace and every
-//! outcome line against the log.
+//! summary. `--emit-reports` streams per-job outcome JSON lines.
 //!
 //! `--wal PATH` journals every settled round to a crash-durable
 //! write-ahead log; after a crash, `--resume PATH` salvages the
 //! committed prefix, re-executes it with verification, and continues
 //! the run live — the final output is byte-identical to an
-//! uninterrupted run. WAL and recovery status lines go to stderr so
-//! stdout stays deterministic.
+//! uninterrupted run. Resuming a *complete* WAL re-verifies every
+//! round and reseals the file byte for byte, at any `--threads`: that
+//! is how a recorded fleet is replayed. WAL and recovery status lines
+//! go to stderr so stdout stays deterministic.
 
 use std::io::Read;
 
-use superpin_replay::fleet::{diff_fleet, recover_fleet_wal, FleetLog, FleetRecipe};
+use superpin_replay::fleet::{recover_fleet_wal, FleetRecipe};
 use superpin_replay::wal::{atomic_write, FrameDamage, FsyncPolicy, WalCause, WalIoError, WalOp};
 use superpin_serve::durable::{Durability, FleetWal};
 use superpin_serve::spec::parse_bytes;
-use superpin_serve::{parse_jobs, run_service, run_service_durable, FleetConfig, SpecError};
+use superpin_serve::{parse_jobs, run_service_durable, FleetConfig, SpecError};
 
 /// Typed command-line rejection. Each variant renders a specific
 /// message; `main` prints it with a usage hint and exits 2.
@@ -43,10 +42,8 @@ enum ArgError {
     ChaosRateOutOfRange(f64),
     /// An unrecognized flag.
     UnknownFlag(String),
-    /// No `--jobs FILE` (or `--replay LOG` / `--resume WAL`) was given.
+    /// Neither `--jobs FILE` nor `--resume WAL` was given.
     MissingJobs,
-    /// `--record` and `--replay` are mutually exclusive.
-    RecordAndReplay,
     /// `--resume` rebuilds every fleet knob from the WAL header; the
     /// named flag would contradict the journalled run.
     ResumeConflict(&'static str),
@@ -78,11 +75,8 @@ impl std::fmt::Display for ArgError {
             ArgError::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
             ArgError::MissingJobs => write!(
                 f,
-                "a job file is required: `--jobs FILE` (or `-` for stdin), or `--replay LOG`"
+                "a job file is required: `--jobs FILE` (or `-` for stdin), or `--resume WAL`"
             ),
-            ArgError::RecordAndReplay => {
-                write!(f, "`--record` and `--replay` are mutually exclusive")
-            }
             ArgError::ResumeConflict(flag) => write!(
                 f,
                 "`{flag}` cannot accompany `--resume`: the WAL header already \
@@ -106,8 +100,6 @@ struct Options {
     chaos_rate: Option<f64>,
     spmsec: u64,
     emit_reports: Option<String>,
-    record: Option<String>,
-    replay: Option<String>,
     wal: Option<String>,
     resume: Option<String>,
     wal_fsync: FsyncPolicy,
@@ -119,8 +111,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: spin-serve --jobs FILE|- [--threads N] [--fleet-slots N] \
          [--fleet-budget BYTES[k|m|g]] [--chaos-seed N] [--chaos-rate F] [--spmsec MSEC] \
-         [--emit-reports PATH] [--record LOG] [--wal PATH] [--wal-fsync commit|off|every=N]\n\
-         \x20      spin-serve --replay LOG [--threads N]\n\
+         [--emit-reports PATH] [--wal PATH] [--wal-fsync commit|off|every=N]\n\
          \x20      spin-serve --resume WAL [--threads N] [--emit-reports PATH] \
          [--wal-fsync commit|off|every=N]\n\
          job file lines: `tenant NAME weight=N [budget=BYTES]` and\n\
@@ -140,8 +131,6 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
         chaos_rate: None,
         spmsec: 1000,
         emit_reports: None,
-        record: None,
-        replay: None,
         wal: None,
         resume: None,
         wal_fsync: FsyncPolicy::EveryCommit,
@@ -168,8 +157,6 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
         "--chaos-seed",
         "--chaos-rate",
         "--spmsec",
-        "--record",
-        "--replay",
         "--wal",
     ];
     while let Some(arg) = iter.next() {
@@ -223,20 +210,6 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
                         .clone(),
                 );
             }
-            "--record" => {
-                options.record = Some(
-                    iter.next()
-                        .ok_or(ArgError::MissingValue("--record"))?
-                        .clone(),
-                );
-            }
-            "--replay" => {
-                options.replay = Some(
-                    iter.next()
-                        .ok_or(ArgError::MissingValue("--replay"))?
-                        .clone(),
-                );
-            }
             "--wal" => {
                 options.wal = Some(iter.next().ok_or(ArgError::MissingValue("--wal"))?.clone());
             }
@@ -259,15 +232,12 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
             other => return Err(ArgError::UnknownFlag(other.to_owned())),
         }
     }
-    if options.record.is_some() && options.replay.is_some() {
-        return Err(ArgError::RecordAndReplay);
-    }
     if options.resume.is_some() {
         if let Some(flag) = options.resume_conflicts.first() {
             return Err(ArgError::ResumeConflict(flag));
         }
     }
-    if options.jobs.is_none() && options.replay.is_none() && options.resume.is_none() {
+    if options.jobs.is_none() && options.resume.is_none() {
         return Err(ArgError::MissingJobs);
     }
     Ok(options)
@@ -343,36 +313,6 @@ fn main() {
             usage();
         }
     };
-
-    if let Some(log_path) = &options.replay {
-        let bytes = std::fs::read(log_path)
-            .unwrap_or_else(|err| fail(format_args!("reading {log_path}: {err}")));
-        let log = FleetLog::decode(&bytes)
-            .unwrap_or_else(|err| fail(format_args!("decoding {log_path}: {err}")));
-        let file = parse_jobs(&log.recipe.spec_text)
-            .unwrap_or_else(|err| fail(format_args!("recorded spec: {err}")));
-        let cfg = FleetConfig {
-            threads: options.threads,
-            slots: log.recipe.slots as usize,
-            fleet_budget: log.recipe.fleet_budget,
-            chaos: log.recipe.chaos,
-            spmsec: log.recipe.spmsec,
-        };
-        let report = run_service(&file, &cfg).unwrap_or_else(|err| fail(err));
-        let outcomes: Vec<String> = report.outcomes.iter().map(|o| o.to_json()).collect();
-        match diff_fleet(&log, &report.events, &outcomes) {
-            None => println!(
-                "replay OK: {} events, {} jobs byte-identical (recorded at {} threads, \
-                 replayed at {})",
-                log.events.len(),
-                log.outcomes.len(),
-                log.recipe.threads,
-                options.threads,
-            ),
-            Some(divergence) => fail(format_args!("replay diverged: {divergence}")),
-        }
-        return;
-    }
 
     if let Some(wal_path) = &options.resume {
         let bytes = std::fs::read(wal_path)
@@ -515,16 +455,6 @@ fn main() {
     if let Some(path) = &options.emit_reports {
         emit_reports(path, &report);
     }
-    if let Some(path) = &options.record {
-        let log = FleetLog {
-            recipe,
-            events: report.events.clone(),
-            outcomes: report.outcomes.iter().map(|o| o.to_json()).collect(),
-        };
-        atomic_write(path, &log.encode())
-            .unwrap_or_else(|err| fail(format_args!("writing {path}: {err}")));
-        println!("recorded: {} events -> {path}", report.events.len());
-    }
 }
 
 #[cfg(test)]
@@ -555,8 +485,6 @@ mod tests {
             "500",
             "--emit-reports",
             "out.jsonl",
-            "--record",
-            "fleet.spflog",
         ])
         .expect("parses");
         assert_eq!(options.jobs.as_deref(), Some("fleet.jobs"));
@@ -567,7 +495,6 @@ mod tests {
         assert_eq!(options.chaos_rate, Some(0.05));
         assert_eq!(options.spmsec, 500);
         assert_eq!(options.emit_reports.as_deref(), Some("out.jsonl"));
-        assert_eq!(options.record.as_deref(), Some("fleet.spflog"));
     }
 
     #[test]
@@ -576,7 +503,7 @@ mod tests {
         assert_eq!(options.threads, 1);
         assert_eq!(options.slots, 4);
         assert_eq!(options.fleet_budget, None);
-        assert_eq!(options.record, None);
+        assert_eq!(options.wal, None);
     }
 
     #[test]
@@ -618,9 +545,14 @@ mod tests {
     #[test]
     fn rejects_contradictory_modes() {
         assert_eq!(parse(&["--threads", "2"]), Err(ArgError::MissingJobs));
+        // The retired fleet-log flags are unknown, alone or together.
         assert_eq!(
             parse(&["--jobs", "f", "--record", "a", "--replay", "b"]),
-            Err(ArgError::RecordAndReplay)
+            Err(ArgError::UnknownFlag("--record".to_owned()))
+        );
+        assert_eq!(
+            parse(&["--replay", "b"]),
+            Err(ArgError::UnknownFlag("--replay".to_owned()))
         );
     }
 
@@ -663,14 +595,21 @@ mod tests {
             ("--chaos-seed", "3"),
             ("--chaos-rate", "0.1"),
             ("--spmsec", "500"),
-            ("--record", "a"),
-            ("--replay", "b"),
             ("--wal", "w"),
         ] {
             assert_eq!(
                 parse(&["--resume", "cut.spwal", flag, value]),
                 Err(ArgError::ResumeConflict(flag)),
                 "{flag} must conflict with --resume"
+            );
+        }
+        // A resume of a complete WAL *is* the fleet replay: the retired
+        // `--record`/`--replay` flags are unknown here too.
+        for flag in ["--record", "--replay"] {
+            assert_eq!(
+                parse(&["--resume", "cut.spwal", flag, "a"]),
+                Err(ArgError::UnknownFlag(flag.to_owned())),
+                "{flag} must be unknown"
             );
         }
     }

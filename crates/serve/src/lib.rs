@@ -22,9 +22,9 @@
 //! * [`durable`] — crash durability: the WAL handle and resume prefix.
 //! * [`report`] — deterministic outcome rendering (text + JSONL).
 //!
-//! The `spin-serve` CLI fronts all of this, including `--record` /
-//! `--replay` of fleet logs (see [`superpin_replay::fleet`]) and
-//! `--wal` / `--resume` crash-durable runs.
+//! The `spin-serve` CLI fronts all of this, including `--wal` /
+//! `--resume` crash-durable runs (see [`superpin_replay::fleet`]);
+//! resuming a complete WAL replays the fleet at any `--threads`.
 
 pub mod durable;
 pub mod fleet;

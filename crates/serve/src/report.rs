@@ -87,7 +87,7 @@ pub struct ServiceReport {
     pub rounds: u64,
     /// Final fleet virtual time in cycles.
     pub fleet_cycles: u64,
-    /// The decision trace (also what the fleet log records).
+    /// The decision trace (the WAL round frames journal it per round).
     pub events: Vec<FleetEvent>,
 }
 

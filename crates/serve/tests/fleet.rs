@@ -241,50 +241,3 @@ fn low_weight_tenant_is_not_starved() {
         .expect("minnow admission logged");
     assert_eq!(admitted_at, 0);
 }
-
-#[test]
-fn fleet_log_roundtrips_and_replays_across_thread_counts() {
-    use superpin_replay::fleet::{diff_fleet, FleetLog, FleetRecipe};
-
-    let (w0, w1) = workloads();
-    let text = format!(
-        "tenant alpha weight=2\n\
-         tenant beta weight=1\n\
-         job tenant=alpha workload={w0} scale=tiny tool=icount2 arrive=0\n\
-         job tenant=beta workload={w1} scale=tiny tool=branch arrive=1000\n"
-    );
-    let file = parse_jobs(&text).expect("parses");
-    let chaos = Some(FailPlan::new(3, 0.02));
-    let recorded = run_service(&file, &config(1, chaos, Some(1 << 20))).expect("recording run");
-    let log = FleetLog {
-        recipe: FleetRecipe {
-            spec_text: text,
-            threads: 1,
-            slots: 2,
-            fleet_budget: Some(1 << 20),
-            chaos,
-            spmsec: 1000,
-        },
-        events: recorded.events.clone(),
-        outcomes: recorded.outcomes.iter().map(|o| o.to_json()).collect(),
-    };
-    let decoded = FleetLog::decode(&log.encode()).expect("codec roundtrip");
-    assert_eq!(decoded, log);
-
-    // Replay from the decoded log alone, at a different thread count.
-    let replay_file = parse_jobs(&decoded.recipe.spec_text).expect("recorded spec parses");
-    let cfg = FleetConfig {
-        threads: 4,
-        slots: decoded.recipe.slots as usize,
-        fleet_budget: decoded.recipe.fleet_budget,
-        chaos: decoded.recipe.chaos,
-        spmsec: decoded.recipe.spmsec,
-    };
-    let replayed = run_service(&replay_file, &cfg).expect("replay run");
-    let outcomes: Vec<String> = replayed.outcomes.iter().map(|o| o.to_json()).collect();
-    assert_eq!(
-        diff_fleet(&decoded, &replayed.events, &outcomes),
-        None,
-        "replay at 4 threads diverged from the 1-thread recording"
-    );
-}

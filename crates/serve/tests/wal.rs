@@ -215,6 +215,31 @@ fn kill_anywhere_under_chaos() {
 }
 
 #[test]
+fn resume_replays_at_another_thread_count() {
+    // Record at one thread, then resume the complete WAL and a mid-run
+    // commit cut at four: the resumed runs must reproduce the recorded
+    // reports and reseal the recorded WAL byte for byte.
+    let chaos = FailPlan::new(3, 0.02)
+        .with_site(Site::IoWalAppend, SiteMode::Off)
+        .with_site(Site::IoWalFsync, SiteMode::Off)
+        .with_site(Site::IoDiskFull, SiteMode::Off);
+    let (text, file) = mix();
+    let (expected, full) = baseline(&text, &file, &config(1, Some(chaos)));
+    let boundaries = commit_boundaries(&full);
+    let mid = boundaries[boundaries.len() / 2];
+    for cut in [full.len(), mid] {
+        resume_from(
+            &full[..cut],
+            &file,
+            &config(4, Some(chaos)),
+            &expected,
+            &full,
+            &format!("recorded at 1 thread, resumed at 4 from byte {cut}"),
+        );
+    }
+}
+
+#[test]
 fn wal_never_changes_the_run() {
     // Attaching a WAL is pure observation: the report is byte-equal to
     // a plain run's.

@@ -13,11 +13,12 @@
 //! `--threads` count — and verifies the replayed report field for field
 //! against the recording. `diff` replays two logs in lockstep and
 //! bisects their first divergence to an epoch barrier, quantum window,
-//! and master instruction range. `fsck` scans any SuperPin container —
-//! `.splog` recording, `SPFL` fleet log, or `SPWAL` fleet journal — and
-//! prints a frame census plus an integrity verdict; `--repair`
-//! truncates to the last good frame into a `<file>.salvaged` quarantine
-//! copy, never touching the original.
+//! and master instruction range. `fsck` walks either SuperPin container
+//! — a `.splog` recording or an `SPWAL` fleet journal, which share one
+//! CRC-framed layer — and prints a frame census plus an integrity
+//! verdict; `--repair` copies a damaged journal's intact prefix into a
+//! `<file>.salvaged` quarantine copy, never touching the original. A
+//! `.splog` is written in one shot, so a damaged one is re-recorded.
 //!
 //! Exit status: 0 on success (`replay` verified / `diff` identical /
 //! `fsck` clean), 1 on divergence, damage, or simulator error, 2 on
@@ -25,15 +26,15 @@
 
 use std::process::ExitCode;
 use superpin::{FailPlan, SharedMem};
-use superpin_replay::fleet::{FleetLog, FLEET_MAGIC};
 use superpin_replay::json::report_to_json;
-use superpin_replay::log::{explain_decode_failure, scan};
+use superpin_replay::log::explain_decode_failure;
 use superpin_replay::wal::{
-    atomic_write, salvage, FrameDamage, WAL_FRAME_COMMIT, WAL_FRAME_END, WAL_FRAME_HEADER,
-    WAL_FRAME_RECORD, WAL_MAGIC,
+    atomic_write, salvage_frames, FrameDamage, WAL_FRAME_COMMIT, WAL_FRAME_END, WAL_FRAME_HEADER,
+    WAL_FRAME_RECORD, WAL_MAGIC, WAL_VERSION,
 };
 use superpin_replay::{
     diff_logs, record_run, replay_run, verify_replay, DiffOutcome, ReplayLog, RunRecipe, MAGIC,
+    VERSION,
 };
 use superpin_tools::{ICount1, ICount2};
 use superpin_workloads::Scale;
@@ -47,17 +48,16 @@ verbs:
   diff <a.splog> <b.splog>           lockstep-replay both, report the
                                      first divergence
   fsck <file> [--repair]             frame census + integrity verdict
-                                     for any .splog / SPFL / SPWAL
-                                     file; --repair truncates to the
-                                     last good frame into
-                                     <file>.salvaged
+                                     for a .splog or SPWAL file;
+                                     --repair copies a damaged SPWAL's
+                                     intact prefix into <file>.salvaged
 
 record options:
   -o <path>            output log path (required)
   -t <tool>            icount1 | icount2 (default icount1)
   --scale <s>          tiny | small | medium | large (default tiny)
   --input <n>          workload input id (default 0)
-  --threads <n>        host threads (default 1)
+  --threads <n>        host threads, at least 1 (default 1)
   --spmsec <n>         timeslice in paper milliseconds (default 2000)
   --spmp <n>           max running slices (default 8)
   --chaos-seed <n>     arm fault injection with this seed
@@ -67,7 +67,7 @@ record options:
   --tag <str>          free-form provenance tag stored in the header
 
 replay options:
-  --threads <n>        host threads for the replay (default 1)
+  --threads <n>        host threads for the replay, at least 1 (default 1)
 
 common options:
   --emit-report <path> write the (recorded / replayed) report as JSON
@@ -89,11 +89,32 @@ fn parse_scale(text: &str) -> Option<Scale> {
     }
 }
 
+/// A `--threads` value: a thread count of at least 1.
+fn parse_threads(text: &str) -> Result<usize, String> {
+    match text.parse() {
+        Ok(0) => Err("`--threads` must be at least 1 (1 = serial execution)".to_owned()),
+        Ok(threads) => Ok(threads),
+        Err(_) => Err(format!("`--threads` got `{text}`; expected a thread count")),
+    }
+}
+
+/// A `--chaos-rate` value: a probability in [0, 1] (NaN is not one).
+fn parse_chaos_rate(text: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(rate) if (0.0..=1.0).contains(&rate) => Ok(rate),
+        Ok(_) => Err(format!(
+            "`--chaos-rate` is a probability and must be within [0, 1] (got `{text}`)"
+        )),
+        Err(_) => Err(format!(
+            "`--chaos-rate` got `{text}`; expected a probability in [0, 1]"
+        )),
+    }
+}
+
 fn load_log(path: &str) -> Result<ReplayLog, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    // On failure, re-scan the bytes to say *why*: a salvageable
-    // truncation (kill mid-write) reads very differently from
-    // corruption, and `fsck --repair` can fix the former.
+    // On failure, re-walk the frames to say *why*: a truncation (kill
+    // mid-write) reads very differently from corruption.
     ReplayLog::decode(&bytes).map_err(|e| format!("{path}: {}", explain_decode_failure(&bytes, &e)))
 }
 
@@ -153,7 +174,7 @@ fn parse_record_args(args: &[String]) -> Result<RecordArgs, String> {
                 scale = parse_scale(&text).ok_or_else(|| format!("unknown scale `{text}`"))?;
             }
             "--input" => input = value("--input")?.parse().map_err(|_| "bad --input")?,
-            "--threads" => threads = value("--threads")?.parse().map_err(|_| "bad --threads")?,
+            "--threads" => threads = parse_threads(&value("--threads")?)?,
             "--spmsec" => spmsec = value("--spmsec")?.parse().map_err(|_| "bad --spmsec")?,
             "--spmp" => spmp = value("--spmp")?.parse().map_err(|_| "bad --spmp")?,
             "--chaos-seed" => {
@@ -163,11 +184,7 @@ fn parse_record_args(args: &[String]) -> Result<RecordArgs, String> {
                         .map_err(|_| "bad --chaos-seed")?,
                 )
             }
-            "--chaos-rate" => {
-                chaos_rate = value("--chaos-rate")?
-                    .parse()
-                    .map_err(|_| "bad --chaos-rate")?
-            }
+            "--chaos-rate" => chaos_rate = parse_chaos_rate(&value("--chaos-rate")?)?,
             "--mem-budget" => {
                 mem_budget = Some(
                     value("--mem-budget")?
@@ -190,7 +207,7 @@ fn parse_record_args(args: &[String]) -> Result<RecordArgs, String> {
     let mut recipe = RunRecipe::standard(&workload, scale);
     recipe.input = input;
     recipe.tool = tool;
-    recipe.threads = threads.max(1);
+    recipe.threads = threads;
     recipe.spmsec = spmsec;
     recipe.spmp = spmp;
     recipe.chaos = chaos_seed.map(|seed| FailPlan::new(seed, chaos_rate));
@@ -249,9 +266,10 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => threads = n,
-                None => return fail("bad --threads"),
+            "--threads" => match iter.next().map(|text| parse_threads(text)) {
+                Some(Ok(n)) => threads = n,
+                Some(Err(message)) => return fail(&message),
+                None => return fail("--threads needs a value"),
             },
             "--emit-report" => match iter.next() {
                 Some(path) => emit_report = Some(path.clone()),
@@ -273,8 +291,8 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     };
     let shared = SharedMem::new();
     let replayed = match log.recipe.tool.as_str() {
-        "icount1" => replay_run(&log, threads.max(1), ICount1::new(&shared), &shared),
-        "icount2" => replay_run(&log, threads.max(1), ICount2::new(&shared), &shared),
+        "icount1" => replay_run(&log, threads, ICount1::new(&shared), &shared),
+        "icount2" => replay_run(&log, threads, ICount2::new(&shared), &shared),
         other => return fail(&format!("log records unknown tool `{other}`")),
     };
     let report = match replayed {
@@ -294,10 +312,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
             println!(
                 "replay of {} verified: report identical to the recording \
                  (recorded threads={}, replayed threads={}, {} epochs)",
-                log.recipe.name,
-                log.recipe.threads,
-                threads.max(1),
-                report.epochs,
+                log.recipe.name, log.recipe.threads, threads, report.epochs,
             );
             ExitCode::SUCCESS
         }
@@ -402,24 +417,20 @@ fn cmd_fsck(args: &[String]) -> ExitCode {
         Ok(bytes) => bytes,
         Err(err) => return fail(&format!("cannot read {path}: {err}")),
     };
-    if bytes.starts_with(WAL_MAGIC) {
-        fsck_wal(&path, &bytes, repair)
+    // Both containers share one frame layer; only the preamble (and
+    // whether commit markers are expected) differs.
+    let (magic, version, journal) = if bytes.starts_with(WAL_MAGIC) {
+        (WAL_MAGIC, WAL_VERSION, true)
     } else if bytes.starts_with(MAGIC) {
-        fsck_splog(&path, &bytes, repair)
-    } else if bytes.starts_with(FLEET_MAGIC) {
-        fsck_fleet(&path, &bytes, repair)
+        (MAGIC, VERSION, false)
     } else {
         eprintln!(
-            "spin-replay: {path}: unrecognized magic {:?} — not a .splog, SPFL, or SPWAL file",
+            "spin-replay: {path}: unrecognized magic {:?} — not a .splog or SPWAL file",
             &bytes[..bytes.len().min(5)]
         );
-        ExitCode::from(2)
-    }
-}
-
-/// Census + verdict for an `SPWAL` fleet journal.
-fn fsck_wal(path: &str, bytes: &[u8], repair: bool) -> ExitCode {
-    let scanned = match salvage(bytes) {
+        return ExitCode::from(2);
+    };
+    let scanned = match salvage_frames(&bytes, magic, version) {
         Ok(scanned) => scanned,
         Err(err) => {
             eprintln!("spin-replay: {path}: {err}");
@@ -437,134 +448,108 @@ fn fsck_wal(path: &str, bytes: &[u8], repair: bool) -> ExitCode {
         }
     }
     println!(
-        "{path}: SPWAL, {} intact frame(s): {headers} header, {records} record, \
+        "{path}: {}, {} intact frame(s): {headers} header, {records} record, \
          {commits} commit, {ends} end",
+        String::from_utf8_lossy(magic),
         scanned.frames.len()
     );
-    println!(
-        "  durable prefix: {} of {} byte(s), last committed round: {}",
-        scanned.committed_len,
-        bytes.len(),
-        scanned
-            .last_committed
-            .map_or_else(|| "none".to_owned(), |round| round.to_string()),
-    );
+    let last_committed = scanned
+        .last_committed
+        .map_or_else(|| "none".to_owned(), |round| round.to_string());
+    if journal {
+        println!(
+            "  durable prefix: {} of {} byte(s), last committed round: {last_committed}",
+            scanned.committed_len,
+            bytes.len(),
+        );
+    }
     match &scanned.damage {
         None if scanned.clean_end => {
+            if !journal {
+                if let Err(err) = ReplayLog::decode(&bytes) {
+                    println!("  verdict: frames intact but not a whole recording ({err})");
+                    return ExitCode::FAILURE;
+                }
+            }
             println!("  verdict: clean (complete run, sealed with an end frame)");
-            ExitCode::SUCCESS
-        }
-        None => {
-            println!("  verdict: in-progress (no end frame yet; resumable as-is)");
-            ExitCode::SUCCESS
-        }
-        Some(FrameDamage::Torn { offset }) => {
-            println!(
-                "  verdict: truncated (salvageable, last committed round {}); torn frame \
-                 at byte {offset}",
-                scanned
-                    .last_committed
-                    .map_or_else(|| "none".to_owned(), |round| round.to_string()),
-            );
-            if repair {
-                write_quarantine(path, &bytes[..scanned.valid_len])
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Some(FrameDamage::Corrupt { offset, detail }) => {
-            println!(
-                "  verdict: corrupt at offset {offset} ({detail}); {} byte(s) salvageable",
-                scanned.valid_len
-            );
-            if repair {
-                write_quarantine(path, &bytes[..scanned.valid_len])
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-    }
-}
-
-/// Census + verdict for a `.splog` single-run recording.
-fn fsck_splog(path: &str, bytes: &[u8], repair: bool) -> ExitCode {
-    let scanned = match scan(bytes) {
-        Ok(scanned) => scanned,
-        Err(err) => {
-            eprintln!("spin-replay: {path}: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    println!(
-        "{path}: SPLOG, {} header, {} event, {} report frame(s), end frame {}",
-        scanned.header_frames,
-        scanned.event_frames,
-        scanned.report_frames,
-        if scanned.has_end {
-            "present"
-        } else {
-            "missing"
-        },
-    );
-    let whole = scanned.header_frames == 1 && scanned.report_frames == 1;
-    match &scanned.damage {
-        None if scanned.has_end && whole => {
-            println!("  verdict: clean");
             return ExitCode::SUCCESS;
         }
-        None if scanned.has_end => {
-            println!("  verdict: structurally intact but not a whole recording");
-            return ExitCode::FAILURE;
+        None if journal => {
+            println!("  verdict: in-progress (no end frame yet; resumable as-is)");
+            return ExitCode::SUCCESS;
         }
-        None => println!(
-            "  verdict: truncated (salvageable: {} event frame(s) intact, end frame missing)",
-            scanned.event_frames
+        None => println!("  verdict: truncated (end frame missing)"),
+        Some(FrameDamage::Torn { offset }) if journal => println!(
+            "  verdict: truncated (salvageable, last committed round {last_committed}); \
+             torn frame at byte {offset}"
         ),
-        Some(FrameDamage::Torn { offset }) => println!(
-            "  verdict: truncated mid-frame at byte {offset} (salvageable: {} event \
-             frame(s) intact, last good frame ends at byte {})",
-            scanned.event_frames, scanned.valid_len
-        ),
-        Some(FrameDamage::Corrupt { offset, detail }) => {
-            println!("  verdict: corrupt at offset {offset} ({detail})");
+        Some(FrameDamage::Torn { offset }) => {
+            println!("  verdict: truncated; torn frame at byte {offset}")
         }
+        Some(FrameDamage::Corrupt { offset, detail }) => println!(
+            "  verdict: corrupt at offset {offset} ({detail}); {} byte(s) salvageable",
+            scanned.valid_len
+        ),
     }
-    if repair {
-        let mut salvaged = bytes[..scanned.valid_len].to_vec();
-        if whole && !scanned.has_end {
-            // Header and report both survived: sealing the prefix with
-            // an end frame (type 0x04, zero length) makes it decode.
-            salvaged.extend_from_slice(&[0x04, 0, 0, 0, 0]);
+    match (repair, journal) {
+        (true, true) => write_quarantine(&path, &bytes[..scanned.valid_len]),
+        (true, false) => {
+            println!("  repair: a .splog is written in one shot — re-record the run instead");
+            ExitCode::FAILURE
         }
-        write_quarantine(path, &salvaged)
-    } else {
-        ExitCode::FAILURE
+        (false, _) => ExitCode::FAILURE,
     }
 }
 
-/// Verdict for an `SPFL` fleet log (written atomically in one shot, so
-/// damage means the write itself was interrupted).
-fn fsck_fleet(path: &str, bytes: &[u8], repair: bool) -> ExitCode {
-    match FleetLog::decode(bytes) {
-        Ok(log) => {
-            println!(
-                "{path}: SPFL, {} event(s), {} outcome line(s)",
-                log.events.len(),
-                log.outcomes.len()
-            );
-            println!("  verdict: clean");
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            println!("{path}: SPFL");
-            println!("  verdict: undecodable ({err})");
-            if repair {
-                println!(
-                    "  repair: SPFL logs are monolithic — re-record with \
-                     `spin-serve --record` instead"
-                );
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn record_args_reject_out_of_range_values() {
+        // (extra record arguments, the flag an error must name — or
+        // `None` when the arguments must parse).
+        let table: &[(&[&str], Option<&str>)] = &[
+            (&[], None),
+            (
+                &[
+                    "--threads",
+                    "4",
+                    "--chaos-seed",
+                    "2",
+                    "--chaos-rate",
+                    "0.02",
+                ],
+                None,
+            ),
+            (&["--chaos-rate", "0"], None),
+            (&["--chaos-rate", "1"], None),
+            (&["--threads", "0"], Some("--threads")),
+            (&["--threads", "-1"], Some("--threads")),
+            (&["--threads", "four"], Some("--threads")),
+            (&["--chaos-rate", "1.5"], Some("--chaos-rate")),
+            (&["--chaos-rate", "-0.1"], Some("--chaos-rate")),
+            (&["--chaos-rate", "nan"], Some("--chaos-rate")),
+            (&["--chaos-rate", "inf"], Some("--chaos-rate")),
+            (&["--chaos-rate", "often"], Some("--chaos-rate")),
+        ];
+        for &(extra, rejected) in table {
+            let args: Vec<String> = ["gcc", "-o", "gcc.splog"]
+                .iter()
+                .chain(extra)
+                .map(|arg| (*arg).to_owned())
+                .collect();
+            match (parse_record_args(&args), rejected) {
+                (Ok(parsed), None) => assert!(parsed.recipe.threads >= 1, "{extra:?}"),
+                (Err(message), Some(flag)) => {
+                    assert!(message.contains(flag), "{extra:?}: `{message}`")
+                }
+                (Ok(_), Some(flag)) => panic!("{extra:?} parsed; `{flag}` must be rejected"),
+                (Err(message), None) => panic!("{extra:?} rejected: {message}"),
             }
-            ExitCode::FAILURE
         }
+        let parsed = parse_record_args(&["gcc", "-o", "x", "--threads", "3"].map(String::from))
+            .expect("parses");
+        assert_eq!(parsed.recipe.threads, 3);
     }
 }
