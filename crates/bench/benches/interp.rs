@@ -1,16 +1,10 @@
-//! Interpreter hot-path micro-benchmarks, isolating the two unit-level
-//! wins of the fast-core work independent of the benchmark catalog:
+//! Interpreter hot-path micro-benchmark: **decode-once vs
+//! decode-per-step** — the per-page [`DecodeCache`] against a loop that
+//! re-decodes every instruction through [`cpu::fetch_at`] on every
+//! execution, both executing through [`cpu::exec_decoded`].
 //!
-//! * **decode-once vs decode-per-step** — the per-page [`DecodeCache`]
-//!   against a loop that re-decodes every instruction through
-//!   [`cpu::fetch_at`] on every execution;
-//! * **dispatch-table vs match** — the direct-threaded
-//!   [`cpu::exec_decoded`] against the match-based reference
-//!   [`cpu::exec_decoded_match`], both fed from the same warm decode
-//!   cache so only the dispatch mechanism differs.
-//!
-//! All four variants execute the same ~20k-instruction countdown loop
-//! and are cross-checked to retire the same instruction count.
+//! Both variants execute the same ~20k-instruction countdown loop and
+//! are cross-checked to retire the same instruction count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use superpin_isa::Inst;
@@ -20,20 +14,17 @@ use superpin_vm::mem::AddressSpace;
 use superpin_vm::process::Process;
 use superpin_vm::VmError;
 
-type ExecFn = fn(&mut CpuState, &mut AddressSpace, Inst, u64) -> Result<ExecOutcome, VmError>;
-
-/// Runs until halt, decoding every step through the given fetcher and
-/// executing through the given dispatcher; returns instructions retired.
+/// Runs until halt, decoding every step through the given fetcher;
+/// returns instructions retired.
 fn run_loop(
     cpu: &mut CpuState,
     mem: &mut AddressSpace,
     mut fetch: impl FnMut(&AddressSpace, u64) -> Result<(Inst, u64), VmError>,
-    exec: ExecFn,
 ) -> u64 {
     let mut retired = 0u64;
     loop {
         let (inst, size) = fetch(mem, cpu.pc).expect("fetch");
-        match exec(cpu, mem, inst, size).expect("exec") {
+        match cpu::exec_decoded(cpu, mem, inst, size).expect("exec") {
             ExecOutcome::Next | ExecOutcome::Jumped => retired += 1,
             ExecOutcome::Syscall | ExecOutcome::Halt => break retired,
         }
@@ -47,14 +38,9 @@ fn bench(c: &mut Criterion) {
     let entry = process.cpu.pc;
     let mut mem = process.mem;
 
-    // Reference count from the never-cached, match-dispatched loop.
+    // Reference count from the never-cached loop.
     let mut cpu_state = CpuState::at(entry);
-    let expected = run_loop(
-        &mut cpu_state,
-        &mut mem,
-        cpu::fetch_at,
-        cpu::exec_decoded_match,
-    );
+    let expected = run_loop(&mut cpu_state, &mut mem, cpu::fetch_at);
     assert_eq!(expected, 20_001, "li + 10000 x (subi, bne)");
 
     let mut group = c.benchmark_group("interp");
@@ -64,7 +50,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("decode_per_step_20k", |b| {
         b.iter(|| {
             let mut cpu_state = CpuState::at(entry);
-            let retired = run_loop(&mut cpu_state, &mut mem, cpu::fetch_at, cpu::exec_decoded);
+            let retired = run_loop(&mut cpu_state, &mut mem, cpu::fetch_at);
             assert_eq!(retired, expected);
         })
     });
@@ -75,41 +61,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("decode_once_20k", |b| {
         b.iter(|| {
             let mut cpu_state = CpuState::at(entry);
-            let retired = run_loop(
-                &mut cpu_state,
-                &mut mem,
-                |mem, pc| cache.fetch(mem, pc),
-                cpu::exec_decoded,
-            );
-            assert_eq!(retired, expected);
-        })
-    });
-
-    // Dispatch comparison: identical warm-cache fetch path, only the
-    // execute dispatch differs (direct-threaded table vs match).
-    let mut cache = DecodeCache::new();
-    group.bench_function("dispatch_table_20k", |b| {
-        b.iter(|| {
-            let mut cpu_state = CpuState::at(entry);
-            let retired = run_loop(
-                &mut cpu_state,
-                &mut mem,
-                |mem, pc| cache.fetch(mem, pc),
-                cpu::exec_decoded,
-            );
-            assert_eq!(retired, expected);
-        })
-    });
-    let mut cache = DecodeCache::new();
-    group.bench_function("dispatch_match_20k", |b| {
-        b.iter(|| {
-            let mut cpu_state = CpuState::at(entry);
-            let retired = run_loop(
-                &mut cpu_state,
-                &mut mem,
-                |mem, pc| cache.fetch(mem, pc),
-                cpu::exec_decoded_match,
-            );
+            let retired = run_loop(&mut cpu_state, &mut mem, |mem, pc| cache.fetch(mem, pc));
             assert_eq!(retired, expected);
         })
     });

@@ -1,7 +1,7 @@
 //! Decoded-page invalidation under self-modifying code.
 //!
 //! The fast interpreter core memoizes decoded instructions per code
-//! page ([`superpin_vm::decode::DecodeCache`]) and the engine fuses
+//! page ([`superpin_vm::decode::DecodeCache`]) and the engine caches
 //! compiled traces — both caches must observe a guest that rewrites its
 //! own code page on the very next execution of the patched address.
 //! These property tests generate random self-patching countdown loops
@@ -9,8 +9,8 @@
 //!
 //! * the decode-cache interpreter to finish in the exact machine state
 //!   of a never-cached fetch-decode-execute loop, and
-//! * the full runner's report to be bit-identical across threads {1,4}
-//!   and plan {off,on}, with the analytically expected result.
+//! * the full runner's report to be bit-identical across threads {1,4},
+//!   with the analytically expected result.
 //!
 //! If a stale decode were ever served the patched increment would not
 //! take effect, the final counter register would differ, and every

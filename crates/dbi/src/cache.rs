@@ -46,8 +46,11 @@ type EntryMap<V> = HashMap<u64, V, BuildHasherDefault<EntryHasher>>;
 /// compilation overhead exactly as in the paper.
 pub const DEFAULT_CAPACITY_INSTS: usize = 65_536;
 
-/// One analysis call as compiled into the cache: the tool's routine plus
-/// the register save/restore plan the compiler chose for it.
+/// One analysis call as compiled into the cache: the tool's routine, the
+/// register save/restore plan the compiler chose for it, and its static
+/// charge and argument values, lowered once at compile time (Pin's
+/// `INS_InsertCall` analysis calls are likewise bound when the trace is
+/// compiled, not per execution).
 pub struct InsertedCall<T> {
     /// The analysis call.
     pub call: Call<T>,
@@ -57,6 +60,23 @@ pub struct InsertedCall<T> {
     /// [`LiveMap`] installed, registers dead at the insertion point are
     /// elided.
     pub saves: RegSet,
+    /// Static charge. `Plain`: `analysis_call_base + |saves| ·
+    /// save_restore_per_reg + |args| · analysis_arg`. `IfThen`: the
+    /// inlined check, `inline_if_check + |pred_args| · analysis_arg`.
+    /// Tool-requested extra cycles are added per execution.
+    pub(crate) cost: u64,
+    /// `IfThen` only: the then-call's static charge, paid when the
+    /// predicate holds: `analysis_call_base + |saves| ·
+    /// save_restore_per_reg + |then_args| · analysis_arg`. 0 for `Plain`.
+    pub(crate) then_cost: u64,
+    /// The values of `args` (`Plain`) or `pred_args` (`IfThen`) when
+    /// every one is known at compile time — instruction pointer,
+    /// constant, access size, `MemAddr` off memory, before-call
+    /// `BranchTaken`, fall-through address; `None` makes the engine
+    /// evaluate the list on every execution.
+    pub args: Option<Box<[u64]>>,
+    /// `IfThen` only: the values of `then_args` when every one is static.
+    pub then_args: Option<Box<[u64]>>,
 }
 
 impl<T> fmt::Debug for InsertedCall<T> {
@@ -64,6 +84,10 @@ impl<T> fmt::Debug for InsertedCall<T> {
         f.debug_struct("InsertedCall")
             .field("call", &self.call)
             .field("saves", &self.saves)
+            .field("cost", &self.cost)
+            .field("then_cost", &self.then_cost)
+            .field("args", &self.args)
+            .field("then_args", &self.then_args)
             .finish()
     }
 }
@@ -80,10 +104,6 @@ pub struct CompiledInst<T> {
     pub before: Vec<InsertedCall<T>>,
     /// Calls to run after the instruction.
     pub after: Vec<InsertedCall<T>>,
-    /// Whether any attached call takes [`IArg::MemAddr`] or
-    /// [`IArg::MemSize`] — precomputed so the executor only derives the
-    /// effective address for slots that can observe it.
-    pub needs_mem_ea: bool,
 }
 
 impl<T> fmt::Debug for CompiledInst<T> {
@@ -107,89 +127,6 @@ pub struct CompiledTrace<T> {
     pub fallthrough: u64,
     /// Number of basic blocks the source trace had.
     pub num_bbls: usize,
-    /// Superinstruction fusion metadata, present only when every
-    /// attached call is fusible (see [`FusedMeta`]). Purely a host-side
-    /// accelerator: the fused executor charges exactly the cycles the
-    /// slow path would.
-    pub fused: Option<FusedMeta>,
-}
-
-/// One analysis call pre-lowered for the fused executor: its full static
-/// charge and its argument values, both computed once at fuse time
-/// instead of once per execution.
-#[derive(Clone, Debug)]
-pub struct FusedCall {
-    /// `analysis_call_base + |saves| · save_restore_per_reg +
-    /// |args| · analysis_arg` — the slow path's charge for this call
-    /// before any tool-requested extra cycles.
-    pub static_cost: u64,
-    /// Pre-evaluated argument values. Fusion requires every argument to
-    /// be static (known at compile time), so this is the exact vector
-    /// the slow path's `eval_args` would build.
-    pub args: Box<[u64]>,
-}
-
-/// One trace instruction's fused call lists (parallel to
-/// [`CompiledInst::before`] / [`CompiledInst::after`]).
-#[derive(Clone, Debug, Default)]
-pub struct FusedSlot {
-    /// Pre-lowered before-calls, in insertion order.
-    pub before: Box<[FusedCall]>,
-    /// Pre-lowered after-calls, in insertion order.
-    pub after: Box<[FusedCall]>,
-}
-
-/// Superinstruction fusion: per-instruction tool-callback costs and cost
-/// accounting batched into pre-computed per-slot constants, so a trace
-/// executes as one tight dispatch over pre-lowered slots (cycle charges
-/// and argument vectors summed/evaluated at fuse time) instead of
-/// re-deriving each call's cost and arguments per execution.
-///
-/// The engine attempts fusion on every compile. It only succeeds when
-/// every call is `Plain` with all-static arguments; anything else
-/// (if-then calls, dynamic arguments such as `MemAddr` on a load/store
-/// or `BranchTaken` on an after-call) leaves `fused` as `None` and the
-/// trace on the slow path. The signature check at dispatch
-/// (`slots.len() == insts.len()`) guards the fused executor; any
-/// mismatch falls back to the slow path.
-#[derive(Clone, Debug)]
-pub struct FusedMeta {
-    /// Per-instruction fused call lists, parallel to the trace's
-    /// `insts` — the length equality is the dispatch signature check.
-    pub slots: Box<[FusedSlot]>,
-    /// `cached_cpi` at fuse time (per retired instruction).
-    pub cached_cpi: u64,
-}
-
-/// The value of `arg` when it is statically known at `(addr, inst,
-/// size, point)`, mirroring the engine's dynamic `eval_args` exactly.
-/// `None` means the argument depends on execution state (registers,
-/// effective addresses, branch outcomes) and disqualifies fusion.
-fn static_arg_value(arg: &IArg, addr: u64, inst: Inst, size: u64, point: IPoint) -> Option<u64> {
-    match *arg {
-        IArg::InstPtr => Some(addr),
-        IArg::UInt(value) => Some(value),
-        // Non-memory instructions evaluate MemAddr/MemSize to 0.
-        IArg::MemAddr => {
-            if inst.is_mem_read() || inst.is_mem_write() {
-                None
-            } else {
-                Some(0)
-            }
-        }
-        IArg::MemSize => match inst {
-            Inst::Ld { width, .. } | Inst::St { width, .. } => Some(width.bytes() as u64),
-            _ => Some(0),
-        },
-        IArg::IsMemWrite => Some(u64::from(inst.is_mem_write())),
-        // Before-calls always observe `taken = false`.
-        IArg::BranchTaken => match point {
-            IPoint::Before => Some(0),
-            IPoint::After => None,
-        },
-        IArg::RegValue(_) | IArg::StackWord(_) => None,
-        IArg::FallthroughAddr => Some(addr + size),
-    }
 }
 
 impl<T> fmt::Debug for CompiledTrace<T> {
@@ -383,13 +320,9 @@ impl<T> CodeCache<T> {
     /// instrumentation and inserts it. Returns the compiled trace and the
     /// number of instructions compiled (for JIT cost accounting).
     ///
-    /// With `fuse` set (the engine passes its cost model on every
-    /// compile), the compiler additionally tries to
-    /// fuse the trace into a superinstruction ([`FusedMeta`]): per-call
-    /// charges and static argument vectors are pre-computed here so the
-    /// fused executor dispatches the whole trace without re-deriving
-    /// them. Ineligible traces (if-then calls, dynamic arguments) simply
-    /// get `fused: None`.
+    /// Every call is lowered under `cost` here: its static charge and,
+    /// when all its arguments are static, their values (see
+    /// [`InsertedCall`]), so executing the trace re-derives neither.
     ///
     /// If inserting would exceed capacity, the whole cache is flushed
     /// first (Pin's wholesale-flush policy).
@@ -397,7 +330,7 @@ impl<T> CodeCache<T> {
         &mut self,
         trace: &Trace,
         inserter: Inserter<T>,
-        fuse: Option<&CostModel>,
+        cost: &CostModel,
     ) -> (Arc<CompiledTrace<T>>, usize)
     where
         T: 'static,
@@ -410,7 +343,6 @@ impl<T> CodeCache<T> {
                 size: iref.size,
                 before: Vec::new(),
                 after: Vec::new(),
-                needs_mem_ea: false,
             })
             .collect();
 
@@ -430,7 +362,7 @@ impl<T> CodeCache<T> {
                 if let Some(bug) = self.clobber_bug {
                     saves.remove(bug);
                 }
-                slot.needs_mem_ea |= call_needs_mem_ea(&call);
+                let inserted = lower(call, saves, slot, point, cost);
                 let list = match point {
                     IPoint::Before => &mut slot.before,
                     IPoint::After => &mut slot.after,
@@ -449,38 +381,17 @@ impl<T> CodeCache<T> {
                         });
                     }
                 }
-                list.push(InsertedCall { call, saves });
+                list.push(inserted);
             }
             // Calls aimed at addresses outside the trace are dropped,
             // mirroring Pin: instrumentation only applies to the trace
             // being compiled.
         }
-
-        let fused = fuse.and_then(|cost| {
-            let mut slots = Vec::with_capacity(insts.len());
-            for slot in &insts {
-                slots.push(FusedSlot {
-                    before: fuse_calls(&slot.before, slot, IPoint::Before, cost)?,
-                    after: fuse_calls(&slot.after, slot, IPoint::After, cost)?,
-                });
-            }
-            Some(FusedMeta {
-                slots: slots.into_boxed_slice(),
-                cached_cpi: cost.cached_cpi,
-            })
-        });
-
-        let count = insts.len();
-        // Recompiling an entry (e.g. after a mid-trace resume) replaces
-        // the old trace; release its accounting first.
-        if let Some(old) = self.traces.remove(&trace.entry()) {
-            self.resident_insts -= old.insts.len();
-        }
-        if self.resident_insts + count > self.capacity_insts {
-            self.traces.clear();
-            self.last = None;
-            self.resident_insts = 0;
-            self.stats.flushes += 1;
+        // Compiled traces stay resident (and are shared across slices):
+        // drop the spare capacity `push` left behind.
+        for slot in &mut insts {
+            slot.before.shrink_to_fit();
+            slot.after.shrink_to_fit();
         }
 
         let compiled = Arc::new(CompiledTrace {
@@ -488,21 +399,16 @@ impl<T> CodeCache<T> {
             insts,
             fallthrough: trace.fallthrough(),
             num_bbls: trace.bbls().len(),
-            fused,
         });
-        self.traces.insert(trace.entry(), Arc::clone(&compiled));
-        self.last = Some((trace.entry(), Arc::clone(&compiled)));
-        self.resident_insts += count;
-        self.stats.traces_compiled += 1;
-        self.stats.insts_compiled += count as u64;
+        let count = self.adopt(&compiled);
         (compiled, count)
     }
 
     /// Adopts a trace compiled by a peer engine (host-side template
     /// sharing), skipping the instrument+build work but performing the
-    /// *same* cache bookkeeping as [`compile`](CodeCache::compile) —
-    /// capacity flush, residency, compile statistics — so every
-    /// simulated observable is identical to having compiled it here.
+    /// cache bookkeeping of [`compile`](CodeCache::compile), which ends
+    /// here too — capacity flush, residency, compile statistics — so
+    /// every simulated observable is identical to having compiled it.
     /// Returns the instruction count for JIT cost accounting.
     ///
     /// The caller must have verified that compiling locally would have
@@ -510,6 +416,8 @@ impl<T> CodeCache<T> {
     /// instrumentation, no clobber bug armed).
     pub fn adopt(&mut self, template: &Arc<CompiledTrace<T>>) -> usize {
         let count = template.insts.len();
+        // Recompiling an entry (e.g. after a mid-trace resume) replaces
+        // the old trace; release its accounting first.
         if let Some(old) = self.traces.remove(&template.entry) {
             self.resident_insts -= old.insts.len();
         }
@@ -528,51 +436,46 @@ impl<T> CodeCache<T> {
     }
 }
 
-/// Whether a call requests the effective address or access size, i.e.
-/// whether the executor must derive `mem_ea` for the call's slot.
-fn call_needs_mem_ea<T>(call: &Call<T>) -> bool {
-    let wants = |args: &[IArg]| {
+/// Lowers `call`, attached at `point` to `slot` with save set `saves`,
+/// into its compiled form under `cost`.
+fn lower<T>(
+    call: Call<T>,
+    saves: RegSet,
+    slot: &CompiledInst<T>,
+    point: IPoint,
+    cost: &CostModel,
+) -> InsertedCall<T> {
+    let values = |args: &[IArg]| -> Option<Box<[u64]>> {
         args.iter()
-            .any(|arg| matches!(arg, IArg::MemAddr | IArg::MemSize))
+            .map(|arg| arg.static_value(slot.addr, slot.inst, slot.size, point))
+            .collect()
     };
-    match call {
-        Call::Plain { args, .. } => wants(args),
+    let arg_cost = |args: &[IArg]| args.len() as u64 * cost.analysis_arg;
+    // Call/return plus one save/restore per clobbered register the
+    // compiler preserves; with no liveness installed this is the flat
+    // `analysis_call`.
+    let invoke = cost.analysis_call_base + saves.len() as u64 * cost.save_restore_per_reg;
+    let (own, then_cost, args, then_args) = match &call {
+        Call::Plain { args, .. } => (invoke + arg_cost(args), 0, values(args), None),
         Call::IfThen {
             pred_args,
             then_args,
             ..
-        } => wants(pred_args) || wants(then_args),
+        } => (
+            cost.inline_if_check + arg_cost(pred_args),
+            invoke + arg_cost(then_args),
+            values(pred_args),
+            values(then_args),
+        ),
+    };
+    InsertedCall {
+        call,
+        saves,
+        cost: own,
+        then_cost,
+        args,
+        then_args,
     }
-}
-
-/// Pre-lowers one call list for the fused executor, or `None` if any
-/// call is ineligible (non-`Plain`, or any dynamic argument).
-fn fuse_calls<T>(
-    calls: &[InsertedCall<T>],
-    slot: &CompiledInst<T>,
-    point: IPoint,
-    cost: &CostModel,
-) -> Option<Box<[FusedCall]>> {
-    let mut out = Vec::with_capacity(calls.len());
-    for inserted in calls {
-        let Call::Plain { args, .. } = &inserted.call else {
-            return None;
-        };
-        let mut values = Vec::with_capacity(args.len());
-        for arg in args {
-            values.push(static_arg_value(
-                arg, slot.addr, slot.inst, slot.size, point,
-            )?);
-        }
-        let static_cost = cost.analysis_call_base
-            + inserted.saves.len() as u64 * cost.save_restore_per_reg
-            + args.len() as u64 * cost.analysis_arg;
-        out.push(FusedCall {
-            static_cost,
-            args: values.into_boxed_slice(),
-        });
-    }
-    Some(out.into_boxed_slice())
 }
 
 #[cfg(test)]
@@ -600,7 +503,7 @@ mod tests {
         inserter.insert_call(0xdead, IPoint::Before, |t, _, _| *t += 1, vec![]);
 
         let mut cache: CodeCache<u64> = CodeCache::new();
-        let (compiled, count) = cache.compile(&trace, inserter, None);
+        let (compiled, count) = cache.compile(&trace, inserter, &CostModel::default());
         assert_eq!(count, 3);
         assert_eq!(compiled.insts[1].before.len(), 1);
         assert_eq!(compiled.insts[1].after.len(), 1);
@@ -612,7 +515,7 @@ mod tests {
         let trace = trace_for("main:\n jmp main\n");
         let mut cache: CodeCache<u64> = CodeCache::new();
         assert!(cache.lookup(trace.entry()).is_none());
-        cache.compile(&trace, Inserter::new(), None);
+        cache.compile(&trace, Inserter::new(), &CostModel::default());
         assert!(cache.lookup(trace.entry()).is_some());
         let stats = cache.stats();
         assert_eq!(stats.lookups, 2);
@@ -630,18 +533,18 @@ mod tests {
         let t2 = discover_trace(&process.mem, program.entry() + 32).expect("t2"); // 2 insts
 
         let mut cache: CodeCache<u64> = CodeCache::with_capacity(6);
-        cache.compile(&t1, Inserter::new(), None); // 4 resident
-        cache.compile(&t2, Inserter::new(), None); // 6 resident
+        cache.compile(&t1, Inserter::new(), &CostModel::default()); // 4 resident
+        cache.compile(&t2, Inserter::new(), &CostModel::default()); // 6 resident
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().flushes, 0);
         // Recompiling t1 releases its 4 first (6-4+4 = 6 fits, no flush)...
-        cache.compile(&t1, Inserter::new(), None);
+        cache.compile(&t1, Inserter::new(), &CostModel::default());
         assert_eq!(cache.stats().flushes, 0);
         assert_eq!(cache.len(), 2);
         // ...but a brand-new 4-inst trace exceeds capacity → flush.
         let t3 = discover_trace(&process.mem, program.entry() + 8).expect("t3");
         assert_eq!(t3.num_insts(), 3);
-        cache.compile(&t3, Inserter::new(), None);
+        cache.compile(&t3, Inserter::new(), &CostModel::default());
         assert_eq!(cache.stats().flushes, 1);
         assert_eq!(cache.len(), 1);
     }
@@ -650,7 +553,7 @@ mod tests {
     fn fallthrough_and_bbl_metadata() {
         let trace = trace_for("main:\n beq r1, r2, main\n nop\n jmp main\n");
         let mut cache: CodeCache<u64> = CodeCache::new();
-        let (compiled, _) = cache.compile(&trace, Inserter::new(), None);
+        let (compiled, _) = cache.compile(&trace, Inserter::new(), &CostModel::default());
         assert_eq!(compiled.num_bbls, 2);
         assert_eq!(compiled.fallthrough, trace.fallthrough());
     }

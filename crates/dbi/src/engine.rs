@@ -1,13 +1,12 @@
 //! The instrumentation engine: dispatcher + JIT loop over a guest process.
 
-use crate::cache::{
-    CodeCache, CompiledInst, CompiledTrace, FusedMeta, InsertedCall, DEFAULT_CAPACITY_INSTS,
-};
+use crate::cache::{CodeCache, CompiledInst, CompiledTrace, InsertedCall, DEFAULT_CAPACITY_INSTS};
 use crate::cost::CostModel;
-use crate::inserter::{Call, CallCtx, EngineCtl, IArg, Inserter};
+use crate::inserter::{Call, CallCtx, EngineCtl, IArg, IPoint, Inserter};
 use crate::shared_index::SharedTraceIndex;
 use crate::spill::ClobberViolation;
 use crate::tool::Pintool;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -185,6 +184,11 @@ pub struct Engine<T: Pintool> {
 /// guarded by an instruction-for-instruction comparison against the
 /// adopter's own freshly discovered trace, so a stale or mismatched
 /// template is simply recompiled, never executed.
+///
+/// A template carries its calls' charges as lowered under the compiling
+/// engine's [`CostModel`] (see [`InsertedCall`]), so every engine
+/// sharing one map must run the same cost model — as a runner's slices
+/// do, all built from one `cfg.cost`.
 pub type TraceTemplates<T> = Arc<std::sync::Mutex<HashMap<u64, Arc<CompiledTrace<T>>>>>;
 
 impl<T: Pintool + Clone> Clone for Engine<T> {
@@ -472,18 +476,13 @@ impl<T: Pintool + 'static> Engine<T> {
             }
             self.stats.traces_executed += 1;
 
-            // Superinstruction dispatch: if this trace was fused at compile
-            // time and the signature check passes (slot count consistent
-            // with the compiled trace — SMC flushes already removed any
-            // stale trace), run the batched fast path; otherwise fall back
-            // to the generic per-call executor.
-            let exit = match &trace.fused {
-                Some(fused) if fused.slots.len() == trace.insts.len() => {
-                    self.exec_trace_fused(&trace, fused, &mut spent)?
-                }
-                _ => self.exec_trace(&trace, &mut spent)?,
-            };
-            match exit {
+            // `exec_trace` charges app and analysis cycles into the stats;
+            // `spent` takes the same delta, also when the trace ends in a
+            // guest fault.
+            let charged = self.stats.cycles.app + self.stats.cycles.analysis;
+            let exit = self.exec_trace(&trace);
+            spent += self.stats.cycles.app + self.stats.cycles.analysis - charged;
+            match exit? {
                 TraceExit::Stop(stop) => {
                     if let EngineStop::Exited(_) = stop {
                         self.run_fini();
@@ -561,10 +560,7 @@ impl<T: Pintool + 'static> Engine<T> {
         }
         let mut inserter = Inserter::new();
         self.tool.instrument_trace(&trace, &mut inserter);
-        // Every compile attempts fusion: eligibility is per-call (plain
-        // call, fully static arguments) and the fused accounting is the
-        // slow path's accounting computed ahead of time.
-        let (compiled, count) = self.cache.compile(&trace, inserter, Some(&self.cost));
+        let (compiled, count) = self.cache.compile(&trace, inserter, &self.cost);
         if shareable {
             self.templates
                 .as_ref()
@@ -617,28 +613,20 @@ impl<T: Pintool + 'static> Engine<T> {
         *spent += jit;
     }
 
-    fn exec_trace(
-        &mut self,
-        trace: &CompiledTrace<T>,
-        spent: &mut u64,
-    ) -> Result<TraceExit, VmError> {
+    fn exec_trace(&mut self, trace: &CompiledTrace<T>) -> Result<TraceExit, VmError> {
         let mut index = 0usize;
         while index < trace.insts.len() {
             let slot = &trace.insts[index];
             debug_assert_eq!(slot.addr, self.process.cpu.pc, "trace desync");
 
-            // Effective address is computed from pre-execution registers
-            // for both before- and after-calls. Slots whose calls never
-            // ask for it skip the computation entirely — nothing can
-            // observe it.
-            let mem_ea = if slot.needs_mem_ea {
-                mem_effective_address(&self.process, slot.inst)
-            } else {
-                None
-            };
+            // The effective address comes from pre-execution registers
+            // for both before- and after-calls.
+            let mem_ea = mem_effective_address(&self.process, slot.inst);
 
             // Before-calls.
-            if !slot.before.is_empty() && self.run_calls(&slot.before, slot, mem_ea, None, spent)? {
+            if !slot.before.is_empty()
+                && self.run_calls(&slot.before, slot, IPoint::Before, mem_ea, false)
+            {
                 // Stop requested before execution: the instruction is NOT
                 // executed; pc stays at the boundary (paper §4.4 — the
                 // boundary instruction belongs to the next slice).
@@ -656,7 +644,6 @@ impl<T: Pintool + 'static> Engine<T> {
                 }
                 ExecOutcome::Next | ExecOutcome::Jumped => {
                     self.stats.cycles.app += self.cost.cached_cpi;
-                    *spent += self.cost.cached_cpi;
                     self.stats.insts_executed += 1;
                 }
             }
@@ -664,7 +651,7 @@ impl<T: Pintool + 'static> Engine<T> {
 
             // After-calls.
             if !slot.after.is_empty()
-                && self.run_calls(&slot.after, slot, mem_ea, Some(taken), spent)?
+                && self.run_calls(&slot.after, slot, IPoint::After, mem_ea, taken)
             {
                 return Ok(TraceExit::Stop(EngineStop::ToolStop));
             }
@@ -706,143 +693,12 @@ impl<T: Pintool + 'static> Engine<T> {
         Ok(TraceExit::Continue)
     }
 
-    /// Superinstruction fast path: executes a fused trace as one batched
-    /// dispatch.
+    /// Runs a call list at `point`; returns `true` if a stop was
+    /// requested.
     ///
-    /// Per-call invocation costs and argument values were lowered at
-    /// compile time into [`crate::cache::FusedCall`]s, so the hot loop
-    /// does no argument evaluation and no cost arithmetic beyond adding
-    /// pre-computed constants. Accounting accumulates in locals and is
-    /// flushed on *every* exit path — tool stop, syscall, halt, early
-    /// branch-out, and guest faults — so observable counters are
-    /// bit-identical to [`Self::exec_trace`] at any exit point.
-    fn exec_trace_fused(
-        &mut self,
-        trace: &CompiledTrace<T>,
-        fused: &FusedMeta,
-        spent: &mut u64,
-    ) -> Result<TraceExit, VmError> {
-        let mut app = 0u64;
-        let mut insts = 0u64;
-        let mut analysis = 0u64;
-        let mut calls = 0u64;
-        let mut acc = 0u64;
-        let result = 'body: {
-            let mut index = 0usize;
-            while index < trace.insts.len() {
-                let slot = &trace.insts[index];
-                let fslot = &fused.slots[index];
-                debug_assert_eq!(slot.addr, self.process.cpu.pc, "trace desync");
-                debug_assert_eq!(fslot.before.len(), slot.before.len());
-                debug_assert_eq!(fslot.after.len(), slot.after.len());
-
-                // Before-calls. A stop request short-circuits the rest of
-                // the list and leaves the instruction unexecuted, exactly
-                // like the slow path.
-                let mut stop = false;
-                for (fc, inserted) in fslot.before.iter().zip(slot.before.iter()) {
-                    if stop {
-                        break;
-                    }
-                    let Call::Plain { func, .. } = &inserted.call else {
-                        unreachable!("fusion only admits plain calls")
-                    };
-                    let mut ctl = EngineCtl::default();
-                    let ctx = CallCtx {
-                        pc: slot.addr,
-                        args: &fc.args,
-                    };
-                    func(&mut self.tool, &ctx, &mut ctl);
-                    let charged = fc.static_cost + ctl.extra_cycles();
-                    analysis += charged;
-                    acc += charged;
-                    calls += 1;
-                    stop |= ctl.stop_requested();
-                }
-                if stop {
-                    break 'body Ok(TraceExit::Stop(EngineStop::ToolStop));
-                }
-
-                // The guest instruction itself.
-                let outcome = match self.process.exec_decoded(slot.inst, slot.size) {
-                    Ok(outcome) => outcome,
-                    Err(err) => break 'body Err(err),
-                };
-                match outcome {
-                    ExecOutcome::Syscall => {
-                        break 'body Ok(TraceExit::Stop(EngineStop::SyscallEntry));
-                    }
-                    ExecOutcome::Halt => {
-                        break 'body Ok(TraceExit::Stop(EngineStop::Halted));
-                    }
-                    ExecOutcome::Next | ExecOutcome::Jumped => {
-                        app += fused.cached_cpi;
-                        acc += fused.cached_cpi;
-                        insts += 1;
-                    }
-                }
-                let taken = outcome == ExecOutcome::Jumped;
-
-                // After-calls.
-                let mut stop = false;
-                for (fc, inserted) in fslot.after.iter().zip(slot.after.iter()) {
-                    if stop {
-                        break;
-                    }
-                    let Call::Plain { func, .. } = &inserted.call else {
-                        unreachable!("fusion only admits plain calls")
-                    };
-                    let mut ctl = EngineCtl::default();
-                    let ctx = CallCtx {
-                        pc: slot.addr,
-                        args: &fc.args,
-                    };
-                    func(&mut self.tool, &ctx, &mut ctl);
-                    let charged = fc.static_cost + ctl.extra_cycles();
-                    analysis += charged;
-                    acc += charged;
-                    calls += 1;
-                    stop |= ctl.stop_requested();
-                }
-                if stop {
-                    break 'body Ok(TraceExit::Stop(EngineStop::ToolStop));
-                }
-
-                if taken {
-                    if matches!(slot.inst, Inst::Jalr { .. }) {
-                        self.pending_dispatch = true;
-                        if let Some(oracle) = &self.oracle {
-                            let dest = self.process.cpu.pc;
-                            let admitted = oracle.check_transfer(slot.addr, dest);
-                            debug_assert!(
-                                admitted,
-                                "soundness oracle: jalr at {:#x} reached {dest:#x} outside its \
-                                 static target set",
-                                slot.addr
-                            );
-                        }
-                    }
-                    let next_matches = trace
-                        .insts
-                        .get(index + 1)
-                        .is_some_and(|next| next.addr == self.process.cpu.pc);
-                    if !next_matches {
-                        break 'body Ok(TraceExit::Continue);
-                    }
-                }
-                index += 1;
-            }
-            Ok(TraceExit::Continue)
-        };
-        self.stats.cycles.app += app;
-        self.stats.cycles.analysis += analysis;
-        self.stats.insts_executed += insts;
-        self.stats.analysis_calls += calls;
-        *spent += acc;
-        result
-    }
-
-    /// Runs a call list; returns `true` if a stop was requested.
+    /// Charges and static argument values were lowered at compile time
+    /// (see [`InsertedCall`]); only a call with a dynamic argument has
+    /// its list evaluated here.
     ///
     /// A stop request short-circuits the remaining calls in the list:
     /// when SuperPin's signature detector (inserted ahead of the user
@@ -852,34 +708,25 @@ impl<T: Pintool + 'static> Engine<T> {
         &mut self,
         calls: &[InsertedCall<T>],
         slot: &CompiledInst<T>,
-        mem_ea: Option<(u64, u64)>,
-        taken: Option<bool>,
-        spent: &mut u64,
-    ) -> Result<bool, VmError> {
+        point: IPoint,
+        mem_ea: u64,
+        taken: bool,
+    ) -> bool {
         let mut stop = false;
         for inserted in calls {
             if stop {
                 break;
             }
-            // Invocation cost: call/return plus one save/restore per
-            // clobbered register the compiler decided to preserve. With
-            // no liveness installed the full clobber set is saved and
-            // this equals the flat `analysis_call`.
-            let invoke_cost = self.cost.analysis_call_base
-                + inserted.saves.len() as u64 * self.cost.save_restore_per_reg;
             match &inserted.call {
                 Call::Plain { func, args } => {
-                    let values = self.eval_args(args, slot, mem_ea, taken);
-                    let cost = invoke_cost + args.len() as u64 * self.cost.analysis_arg;
+                    let values = self.arg_values(&inserted.args, args, slot, point, mem_ea, taken);
                     let mut ctl = EngineCtl::default();
                     let ctx = CallCtx {
                         pc: slot.addr,
                         args: &values,
                     };
                     func(&mut self.tool, &ctx, &mut ctl);
-                    let charged = cost + ctl.extra_cycles();
-                    self.stats.cycles.analysis += charged;
-                    *spent += charged;
+                    self.stats.cycles.analysis += inserted.cost + ctl.extra_cycles();
                     self.stats.analysis_calls += 1;
                     stop |= ctl.stop_requested();
                 }
@@ -889,61 +736,73 @@ impl<T: Pintool + 'static> Engine<T> {
                     then,
                     then_args,
                 } => {
-                    let pred_values = self.eval_args(pred_args, slot, mem_ea, taken);
-                    let mut charged =
-                        self.cost.inline_if_check + pred_args.len() as u64 * self.cost.analysis_arg;
+                    let values =
+                        self.arg_values(&inserted.args, pred_args, slot, point, mem_ea, taken);
+                    self.stats.cycles.analysis += inserted.cost;
                     self.stats.if_checks += 1;
                     let ctx = CallCtx {
                         pc: slot.addr,
-                        args: &pred_values,
+                        args: &values,
                     };
                     if pred(&mut self.tool, &ctx) {
-                        let then_values = self.eval_args(then_args, slot, mem_ea, taken);
+                        let values = self.arg_values(
+                            &inserted.then_args,
+                            then_args,
+                            slot,
+                            point,
+                            mem_ea,
+                            taken,
+                        );
                         let mut ctl = EngineCtl::default();
-                        let then_ctx = CallCtx {
+                        let ctx = CallCtx {
                             pc: slot.addr,
-                            args: &then_values,
+                            args: &values,
                         };
-                        then(&mut self.tool, &then_ctx, &mut ctl);
-                        charged += invoke_cost
-                            + then_args.len() as u64 * self.cost.analysis_arg
-                            + ctl.extra_cycles();
+                        then(&mut self.tool, &ctx, &mut ctl);
+                        self.stats.cycles.analysis += inserted.then_cost + ctl.extra_cycles();
                         self.stats.then_calls += 1;
                         stop |= ctl.stop_requested();
                     }
-                    self.stats.cycles.analysis += charged;
-                    *spent += charged;
                 }
             }
         }
-        Ok(stop)
+        stop
     }
 
-    fn eval_args(
+    /// A call's argument values: the `lowered` ones when the compiler
+    /// could compute them, else `args` evaluated against the current
+    /// machine state (static descriptors in the list still take their
+    /// compile-time value).
+    fn arg_values<'a>(
         &self,
+        lowered: &'a Option<Box<[u64]>>,
         args: &[IArg],
         slot: &CompiledInst<T>,
-        mem_ea: Option<(u64, u64)>,
-        taken: Option<bool>,
-    ) -> Vec<u64> {
+        point: IPoint,
+        mem_ea: u64,
+        taken: bool,
+    ) -> Cow<'a, [u64]> {
+        if let Some(values) = lowered {
+            return Cow::Borrowed(values);
+        }
+        let regs = &self.process.cpu.regs;
         args.iter()
-            .map(|arg| match *arg {
-                IArg::InstPtr => slot.addr,
-                IArg::UInt(value) => value,
-                IArg::MemAddr => mem_ea.map(|(ea, _)| ea).unwrap_or(0),
-                IArg::MemSize => mem_ea.map(|(_, size)| size).unwrap_or(0),
-                IArg::IsMemWrite => u64::from(slot.inst.is_mem_write()),
-                IArg::BranchTaken => u64::from(taken.unwrap_or(false)),
-                IArg::RegValue(reg) => self.process.cpu.regs.get(reg),
-                IArg::StackWord(i) => {
-                    let sp = self.process.cpu.regs.get(superpin_isa::Reg::SP);
-                    self.process
-                        .mem
-                        .read_u64(sp.wrapping_add(8 * i as u64))
-                        .unwrap_or(0)
-                }
-                IArg::FallthroughAddr => slot.addr + slot.size,
-            })
+            .map(
+                |&arg| match arg.static_value(slot.addr, slot.inst, slot.size, point) {
+                    Some(value) => value,
+                    None => match arg {
+                        IArg::MemAddr => mem_ea,
+                        IArg::BranchTaken => u64::from(taken),
+                        IArg::RegValue(reg) => regs.get(reg),
+                        IArg::StackWord(i) => self
+                            .process
+                            .mem
+                            .read_u64(regs.get(superpin_isa::Reg::SP).wrapping_add(8 * i as u64))
+                            .unwrap_or(0),
+                        _ => unreachable!("{arg:?} is always static"),
+                    },
+                },
+            )
             .collect()
     }
 
@@ -1058,28 +917,16 @@ fn template_matches<T>(template: &CompiledTrace<T>, trace: &crate::trace::Trace)
             })
 }
 
-fn mem_effective_address(process: &Process, inst: Inst) -> Option<(u64, u64)> {
+/// The effective address of a load or store, from the current
+/// registers; 0 for any other instruction.
+fn mem_effective_address(process: &Process, inst: Inst) -> u64 {
     match inst {
-        Inst::Ld {
-            base,
-            offset,
-            width,
-            ..
-        }
-        | Inst::St {
-            base,
-            offset,
-            width,
-            ..
-        } => {
-            let ea = process
-                .cpu
-                .regs
-                .get(base)
-                .wrapping_add(offset as i64 as u64);
-            Some((ea, width.bytes() as u64))
-        }
-        _ => None,
+        Inst::Ld { base, offset, .. } | Inst::St { base, offset, .. } => process
+            .cpu
+            .regs
+            .get(base)
+            .wrapping_add(offset as i64 as u64),
+        _ => 0,
     }
 }
 
@@ -1247,86 +1094,6 @@ mod tests {
         // Tool keeps requesting at seen==3 only once; run continues to
         // the exit syscall.
         assert_eq!(result.stop, EngineStop::SyscallEntry);
-    }
-
-    #[derive(Clone, Default)]
-    struct MemWatch {
-        reads: Vec<(u64, u64)>,
-        writes: Vec<(u64, u64)>,
-    }
-
-    impl Pintool for MemWatch {
-        fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
-            for iref in trace.insts() {
-                if iref.inst.is_mem_read() || iref.inst.is_mem_write() {
-                    inserter.insert_call(
-                        iref.addr,
-                        IPoint::Before,
-                        |tool, ctx, _| {
-                            if ctx.arg(2) == 1 {
-                                tool.writes.push((ctx.arg(0), ctx.arg(1)));
-                            } else {
-                                tool.reads.push((ctx.arg(0), ctx.arg(1)));
-                            }
-                        },
-                        vec![IArg::MemAddr, IArg::MemSize, IArg::IsMemWrite],
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn memory_args_report_effective_addresses() {
-        let src = r#"
-            .data
-            buf: .word 1, 2
-            .text
-            main:
-                la  r2, buf
-                ld  r3, 8(r2)
-                stw r3, 0(r2)
-                exit 0
-        "#;
-        let mut engine = Engine::new(process_for(src), MemWatch::default());
-        engine.run_to_exit().expect("run");
-        let tool = engine.tool();
-        assert_eq!(tool.reads, vec![(superpin_isa::DATA_BASE + 8, 8)]);
-        assert_eq!(tool.writes, vec![(superpin_isa::DATA_BASE, 4)]);
-    }
-
-    #[derive(Clone, Default)]
-    struct IfThenCounter {
-        then_hits: u64,
-    }
-
-    impl Pintool for IfThenCounter {
-        fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
-            for iref in trace.insts() {
-                inserter.insert_if_then_call(
-                    iref.addr,
-                    IPoint::Before,
-                    |_, ctx| ctx.arg(0) % 2 == 0,
-                    vec![IArg::InstPtr],
-                    |tool, _, _| tool.then_hits += 1,
-                    vec![],
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn if_then_fires_only_on_true_predicate() {
-        let mut engine = Engine::new(
-            process_for("main:\n nop\n nop\n exit 0\n"),
-            IfThenCounter::default(),
-        );
-        engine.run_to_exit().expect("run");
-        let stats = engine.stats();
-        assert!(stats.if_checks >= 5);
-        assert_eq!(stats.then_calls, engine.tool().then_hits);
-        // Addresses are 8-aligned, so every check is true here.
-        assert_eq!(stats.then_calls, stats.if_checks);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::fmt;
 use std::sync::Arc;
-use superpin_isa::Reg;
+use superpin_isa::{Inst, Reg};
 
 /// Where an analysis call is attached relative to its instruction
 /// (Pin's `IPOINT_BEFORE` / `IPOINT_AFTER`).
@@ -41,7 +41,9 @@ pub enum IArg {
     /// 1 if a control transfer was taken by this instruction
     /// (`IARG_BRANCH_TAKEN`; meaningful only at [`IPoint::After`]).
     BranchTaken,
-    /// Pre-execution value of a register (`IARG_REG_VALUE`).
+    /// Value of a register when the call runs (`IARG_REG_VALUE`):
+    /// pre-execution for a before-call, post-execution for an
+    /// after-call.
     RegValue(Reg),
     /// The `i`th 64-bit word above the stack pointer, i.e.
     /// `mem[sp + 8·i]`; 0 if unmapped. SuperPin's full signature check
@@ -50,6 +52,41 @@ pub enum IArg {
     /// The address execution continues at if the instruction falls
     /// through (`IARG_FALLTHROUGH_ADDR`).
     FallthroughAddr,
+}
+
+impl IArg {
+    /// The argument's value for a call at `point` on `inst` (`size`
+    /// bytes at `addr`) when it is known at compile time, or `None` when
+    /// it depends on execution state: the effective address of a load or
+    /// store, an after-call's branch outcome, a register or a stack word.
+    /// The compiler lowers static values once per trace; the engine
+    /// evaluates the rest on every execution.
+    pub(crate) fn static_value(
+        self,
+        addr: u64,
+        inst: Inst,
+        size: u64,
+        point: IPoint,
+    ) -> Option<u64> {
+        match self {
+            IArg::InstPtr => Some(addr),
+            IArg::UInt(value) => Some(value),
+            IArg::MemAddr if inst.is_mem_read() || inst.is_mem_write() => None,
+            IArg::MemAddr => Some(0),
+            IArg::MemSize => match inst {
+                Inst::Ld { width, .. } | Inst::St { width, .. } => Some(width.bytes() as u64),
+                _ => Some(0),
+            },
+            IArg::IsMemWrite => Some(u64::from(inst.is_mem_write())),
+            // Before-calls always observe `taken = false`.
+            IArg::BranchTaken => match point {
+                IPoint::Before => Some(0),
+                IPoint::After => None,
+            },
+            IArg::RegValue(_) | IArg::StackWord(_) => None,
+            IArg::FallthroughAddr => Some(addr + size),
+        }
+    }
 }
 
 /// Runtime context passed to every analysis routine.

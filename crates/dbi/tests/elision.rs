@@ -9,8 +9,8 @@
 
 use std::sync::Arc;
 use superpin_dbi::{
-    analysis_clobbers, discover_trace, CodeCache, Engine, IPoint, Inserter, LiveMap, Pintool,
-    RegSet, Trace,
+    analysis_clobbers, discover_trace, CodeCache, CostModel, Engine, IPoint, Inserter, LiveMap,
+    Pintool, RegSet, Trace,
 };
 use superpin_isa::asm::assemble;
 use superpin_isa::Reg;
@@ -107,7 +107,7 @@ fn compile_plans_minimal_save_sets() {
     }
     let mut cache: CodeCache<u64> = CodeCache::new();
     cache.set_liveness(live);
-    let (compiled, _) = cache.compile(&trace, inserter, None);
+    let (compiled, _) = cache.compile(&trace, inserter, &CostModel::default());
 
     // Before `subi` (the loop head) live = {r8, r0}: only r0 of the
     // clobber set needs saving.
@@ -124,7 +124,7 @@ fn compile_plans_minimal_save_sets() {
     let mut conservative: CodeCache<u64> = CodeCache::new();
     let mut inserter: Inserter<u64> = Inserter::new();
     inserter.insert_call(program.entry(), IPoint::Before, |t, _, _| *t += 1, vec![]);
-    let (compiled, _) = conservative.compile(&trace, inserter, None);
+    let (compiled, _) = conservative.compile(&trace, inserter, &CostModel::default());
     assert_eq!(compiled.insts[0].before[0].saves, analysis_clobbers());
 }
 
@@ -140,6 +140,12 @@ fn verifier_catches_an_injected_clobber_bug() {
     engine.run_to_exit().expect("run");
 
     let violations = engine.clobber_violations();
+    // The verifier records only under `debug_assertions`; release builds
+    // always report an empty list (`CodeCache::clobber_violations`).
+    if !cfg!(debug_assertions) {
+        assert!(violations.is_empty(), "{violations:?}");
+        return;
+    }
     assert!(
         !violations.is_empty(),
         "the verifier must catch the planted clobber"

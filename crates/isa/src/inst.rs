@@ -252,10 +252,6 @@ pub enum Opcode {
 }
 
 impl Opcode {
-    /// Number of opcodes; dispatch tables indexed by opcode byte are
-    /// `[_; Opcode::COUNT]`.
-    pub const COUNT: usize = 13;
-
     pub(crate) fn from_byte(b: u8) -> Option<Opcode> {
         Some(match b {
             0x00 => Opcode::Nop,
@@ -347,26 +343,6 @@ impl Inst {
         match self {
             Inst::Li { .. } => 16,
             _ => 8,
-        }
-    }
-
-    /// The opcode of this instruction, usable as a dense index into
-    /// dispatch tables of size [`Opcode::COUNT`].
-    pub fn opcode(self) -> Opcode {
-        match self {
-            Inst::Nop => Opcode::Nop,
-            Inst::Alu { .. } => Opcode::Alu,
-            Inst::AluImm { .. } => Opcode::AluImm,
-            Inst::Li { .. } => Opcode::Li,
-            Inst::Mov { .. } => Opcode::Mov,
-            Inst::Ld { .. } => Opcode::Ld,
-            Inst::St { .. } => Opcode::St,
-            Inst::Jmp { .. } => Opcode::Jmp,
-            Inst::Jal { .. } => Opcode::Jal,
-            Inst::Jalr { .. } => Opcode::Jalr,
-            Inst::Branch { .. } => Opcode::Branch,
-            Inst::Syscall => Opcode::Syscall,
-            Inst::Halt => Opcode::Halt,
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::error::VmError;
 use crate::mem::AddressSpace;
-use superpin_isa::{decode, DecodeError, Inst, MemWidth, Opcode, Reg, NUM_REGS};
+use superpin_isa::{decode, DecodeError, Inst, MemWidth, Reg, NUM_REGS};
 
 /// The general-purpose register file.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -70,20 +70,10 @@ pub enum ExecOutcome {
     Halt,
 }
 
-/// Fetches and decodes the instruction at `cpu.pc` from guest memory.
+/// Fetches and decodes the instruction at `pc` from guest memory.
 ///
-/// # Errors
-///
-/// Returns [`VmError::Mem`] for unmapped fetches or [`VmError::Decode`]
-/// for invalid encodings.
-pub fn fetch(cpu: &CpuState, mem: &AddressSpace) -> Result<(Inst, u64), VmError> {
-    fetch_at(mem, cpu.pc)
-}
-
-/// Fetches and decodes the instruction at an arbitrary address.
-///
-/// This is [`fetch`] without the CPU: the decode cache uses it to
-/// pre-decode whole pages independent of the current program counter.
+/// The decode cache calls it to fill its pages; [`step`] calls it on
+/// every execution.
 ///
 /// # Errors
 ///
@@ -104,252 +94,18 @@ pub fn fetch_at(mem: &AddressSpace, pc: u64) -> Result<(Inst, u64), VmError> {
     }
 }
 
-/// Handler signature for one opcode in the dispatch table.
-type ExecFn = fn(&mut CpuState, &mut AddressSpace, Inst, u64) -> Result<ExecOutcome, VmError>;
-
-/// Direct-threaded dispatch table, indexed by [`Opcode`] byte. Each entry
-/// is a monomorphic handler for exactly one instruction form, so the hot
-/// loop does one indexed indirect call instead of walking a 13-arm match.
-const DISPATCH: [ExecFn; Opcode::COUNT] = [
-    exec_nop,     // 0x00 Nop
-    exec_alu,     // 0x01 Alu
-    exec_alu_imm, // 0x02 AluImm
-    exec_li,      // 0x03 Li
-    exec_mov,     // 0x04 Mov
-    exec_ld,      // 0x05 Ld
-    exec_st,      // 0x06 St
-    exec_jmp,     // 0x07 Jmp
-    exec_jal,     // 0x08 Jal
-    exec_jalr,    // 0x09 Jalr
-    exec_branch,  // 0x0a Branch
-    exec_stop,    // 0x0b Syscall
-    exec_stop,    // 0x0c Halt
-];
-
-fn exec_nop(
-    cpu: &mut CpuState,
-    _mem: &mut AddressSpace,
-    _inst: Inst,
-    size: u64,
-) -> Result<ExecOutcome, VmError> {
-    cpu.pc += size;
-    Ok(ExecOutcome::Next)
-}
-
-fn exec_alu(
-    cpu: &mut CpuState,
-    _mem: &mut AddressSpace,
-    inst: Inst,
-    size: u64,
-) -> Result<ExecOutcome, VmError> {
-    let Inst::Alu { op, rd, rs1, rs2 } = inst else {
-        unreachable!("dispatch table routed a non-alu instruction here")
-    };
-    let value = op.apply(cpu.regs.get(rs1), cpu.regs.get(rs2));
-    cpu.regs.set(rd, value);
-    cpu.pc += size;
-    Ok(ExecOutcome::Next)
-}
-
-fn exec_alu_imm(
-    cpu: &mut CpuState,
-    _mem: &mut AddressSpace,
-    inst: Inst,
-    size: u64,
-) -> Result<ExecOutcome, VmError> {
-    let Inst::AluImm { op, rd, rs1, imm } = inst else {
-        unreachable!("dispatch table routed a non-alu-imm instruction here")
-    };
-    let value = op.apply(cpu.regs.get(rs1), imm as i64 as u64);
-    cpu.regs.set(rd, value);
-    cpu.pc += size;
-    Ok(ExecOutcome::Next)
-}
-
-fn exec_li(
-    cpu: &mut CpuState,
-    _mem: &mut AddressSpace,
-    inst: Inst,
-    size: u64,
-) -> Result<ExecOutcome, VmError> {
-    let Inst::Li { rd, imm } = inst else {
-        unreachable!("dispatch table routed a non-li instruction here")
-    };
-    cpu.regs.set(rd, imm as u64);
-    cpu.pc += size;
-    Ok(ExecOutcome::Next)
-}
-
-fn exec_mov(
-    cpu: &mut CpuState,
-    _mem: &mut AddressSpace,
-    inst: Inst,
-    size: u64,
-) -> Result<ExecOutcome, VmError> {
-    let Inst::Mov { rd, rs } = inst else {
-        unreachable!("dispatch table routed a non-mov instruction here")
-    };
-    let value = cpu.regs.get(rs);
-    cpu.regs.set(rd, value);
-    cpu.pc += size;
-    Ok(ExecOutcome::Next)
-}
-
-fn exec_ld(
-    cpu: &mut CpuState,
-    mem: &mut AddressSpace,
-    inst: Inst,
-    size: u64,
-) -> Result<ExecOutcome, VmError> {
-    let Inst::Ld {
-        rd,
-        base,
-        offset,
-        width,
-    } = inst
-    else {
-        unreachable!("dispatch table routed a non-load instruction here")
-    };
-    let addr = cpu.regs.get(base).wrapping_add(offset as i64 as u64);
-    let value = load(mem, addr, width)?;
-    cpu.regs.set(rd, value);
-    cpu.pc += size;
-    Ok(ExecOutcome::Next)
-}
-
-fn exec_st(
-    cpu: &mut CpuState,
-    mem: &mut AddressSpace,
-    inst: Inst,
-    size: u64,
-) -> Result<ExecOutcome, VmError> {
-    let Inst::St {
-        rs,
-        base,
-        offset,
-        width,
-    } = inst
-    else {
-        unreachable!("dispatch table routed a non-store instruction here")
-    };
-    let addr = cpu.regs.get(base).wrapping_add(offset as i64 as u64);
-    store(mem, addr, cpu.regs.get(rs), width)?;
-    cpu.pc += size;
-    Ok(ExecOutcome::Next)
-}
-
-fn exec_jmp(
-    cpu: &mut CpuState,
-    _mem: &mut AddressSpace,
-    inst: Inst,
-    _size: u64,
-) -> Result<ExecOutcome, VmError> {
-    let Inst::Jmp { target } = inst else {
-        unreachable!("dispatch table routed a non-jmp instruction here")
-    };
-    cpu.pc = target;
-    Ok(ExecOutcome::Jumped)
-}
-
-fn exec_jal(
-    cpu: &mut CpuState,
-    _mem: &mut AddressSpace,
-    inst: Inst,
-    size: u64,
-) -> Result<ExecOutcome, VmError> {
-    let Inst::Jal { rd, target } = inst else {
-        unreachable!("dispatch table routed a non-jal instruction here")
-    };
-    cpu.regs.set(rd, cpu.pc + size);
-    cpu.pc = target;
-    Ok(ExecOutcome::Jumped)
-}
-
-fn exec_jalr(
-    cpu: &mut CpuState,
-    _mem: &mut AddressSpace,
-    inst: Inst,
-    size: u64,
-) -> Result<ExecOutcome, VmError> {
-    let Inst::Jalr { rd, rs, offset } = inst else {
-        unreachable!("dispatch table routed a non-jalr instruction here")
-    };
-    // Read the target before linking so `jalr ra, 0(ra)` (the
-    // conventional `ret`) works.
-    let target = cpu.regs.get(rs).wrapping_add(offset as i64 as u64);
-    cpu.regs.set(rd, cpu.pc + size);
-    cpu.pc = target;
-    Ok(ExecOutcome::Jumped)
-}
-
-fn exec_branch(
-    cpu: &mut CpuState,
-    _mem: &mut AddressSpace,
-    inst: Inst,
-    size: u64,
-) -> Result<ExecOutcome, VmError> {
-    let Inst::Branch {
-        kind,
-        rs1,
-        rs2,
-        target,
-    } = inst
-    else {
-        unreachable!("dispatch table routed a non-branch instruction here")
-    };
-    if kind.test(cpu.regs.get(rs1), cpu.regs.get(rs2)) {
-        cpu.pc = target;
-        Ok(ExecOutcome::Jumped)
-    } else {
-        cpu.pc += size;
-        Ok(ExecOutcome::Next)
-    }
-}
-
-fn exec_stop(
-    _cpu: &mut CpuState,
-    _mem: &mut AddressSpace,
-    inst: Inst,
-    _size: u64,
-) -> Result<ExecOutcome, VmError> {
-    // Syscall and Halt both park: `pc` stays on the instruction so a
-    // supervisor can service it (ptrace-style stop).
-    match inst {
-        Inst::Syscall => Ok(ExecOutcome::Syscall),
-        Inst::Halt => Ok(ExecOutcome::Halt),
-        _ => unreachable!("dispatch table routed a non-stop instruction here"),
-    }
-}
-
 /// Executes one already-decoded instruction against the CPU and memory.
 ///
 /// `size` must be the instruction's encoded size (used to advance `pc`).
-/// Dispatches through the direct-threaded [`DISPATCH`] table; the
-/// match-based reference implementation is kept as
-/// [`exec_decoded_match`] for differential tests and microbenchmarks.
+/// This is the interpreter's one instruction dispatcher: the native
+/// runner, the decode cache's run loop and the DBI engine all execute
+/// through it.
 ///
 /// # Errors
 ///
 /// Returns [`VmError::Mem`] for faulting loads/stores.
 #[inline]
 pub fn exec_decoded(
-    cpu: &mut CpuState,
-    mem: &mut AddressSpace,
-    inst: Inst,
-    size: u64,
-) -> Result<ExecOutcome, VmError> {
-    DISPATCH[inst.opcode() as usize](cpu, mem, inst, size)
-}
-
-/// Match-based reference implementation of [`exec_decoded`].
-///
-/// Kept so the dispatch-table hot path has a same-semantics baseline to
-/// diff against (tests) and race against (`benches/interp.rs`).
-///
-/// # Errors
-///
-/// Returns [`VmError::Mem`] for faulting loads/stores.
-pub fn exec_decoded_match(
     cpu: &mut CpuState,
     mem: &mut AddressSpace,
     inst: Inst,
@@ -448,7 +204,7 @@ pub fn exec_decoded_match(
 ///
 /// Propagates fetch, decode, and memory errors.
 pub fn step(cpu: &mut CpuState, mem: &mut AddressSpace) -> Result<ExecOutcome, VmError> {
-    let (inst, size) = fetch(cpu, mem)?;
+    let (inst, size) = fetch_at(mem, cpu.pc)?;
     exec_decoded(cpu, mem, inst, size)
 }
 

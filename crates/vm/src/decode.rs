@@ -1,7 +1,7 @@
 //! Per-page pre-decoded instruction streams.
 //!
 //! The baseline interpreter decodes every instruction on every execution:
-//! `cpu::fetch` pays a region binary-search, a `BTreeMap` page lookup, a
+//! `cpu::fetch_at` pays a region binary-search, a `BTreeMap` page lookup, a
 //! byte copy, and a full `decode` per step. For a hot loop that is pure
 //! waste — the bytes have not changed. A [`DecodeCache`] memoizes the
 //! decode per 8-byte code word, so each guest instruction is decoded once

@@ -13,8 +13,8 @@
 //!   a counted COW fault and copies it, exactly the cost SuperPin's fork
 //!   overhead analysis reasons about (paper §6.3).
 //! * [`cpu`] — the interpreter core executing `superpin-isa` instructions
-//!   fetched from guest memory, dispatching through a direct-threaded
-//!   opcode table.
+//!   fetched from guest memory through one `match`-based dispatcher,
+//!   [`cpu::exec_decoded`].
 //! * [`decode`] — per-page pre-decoded instruction streams keyed on the
 //!   code-page generation, so each instruction is decoded once rather
 //!   than once per execution; self-modifying code invalidates the cache
